@@ -97,10 +97,10 @@ crash:
 	mkdir -p crash-artifacts
 	RH_CRASH_DIR=$(abspath crash-artifacts) $(GO) test -race -run Crash -v ./internal/campaign/... ./cmd/rhfleet/...
 
-# Network chaos drill: shard workers own their shards through the
-# fenced lease service over loopback HTTP (rhfleet -lease-listen),
-# with seeded partition profiles and SIGKILLs injected into real
-# binaries — the merged summary must stay byte-identical to a
+# Network chaos drill: the rhfleet -coordinate workers own their shards
+# through the coordinator's self-hosted fenced lease service over
+# loopback HTTP, with seeded partition profiles and SIGKILLs injected
+# into real binaries — the merged summary must stay byte-identical to a
 # single-process run and no superseded writer may publish a record.
 chaos-net:
 	mkdir -p crash-artifacts

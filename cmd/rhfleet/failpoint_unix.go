@@ -12,14 +12,14 @@ import (
 	"rowhammer/internal/durable"
 )
 
-// armFailpoint installs the crash-injection seam: with
-// RHFLEET_FAILPOINT=N in the environment, the process SIGKILLs itself
-// the instant the checkpoint writer has emitted exactly N bytes —
-// mid-record, mid-CRC, wherever N lands. The crash test suite uses it
-// to prove the kill-anywhere guarantee against the real binary; it is
-// never set in normal operation.
-func armFailpoint(cw *rh.CampaignCheckpointWriter) {
-	v := os.Getenv("RHFLEET_FAILPOINT")
+// armFailpoint installs the crash-injection seam: with v = "N" (the
+// RHFLEET_FAILPOINT environment variable, or a worker's per-shard
+// drill seam), the process SIGKILLs itself the instant the checkpoint
+// writer has emitted exactly N bytes — mid-record, mid-CRC, wherever N
+// lands. The crash test suite uses it to prove the kill-anywhere
+// guarantee against the real binary; it is never set in normal
+// operation.
+func armFailpoint(cw *rh.CampaignCheckpointWriter, v string) {
 	if v == "" {
 		return
 	}

@@ -6,21 +6,21 @@ import (
 )
 
 // modeFlags is the subset of rhfleet's flags whose combination picks
-// the process role: plain campaign, -shard worker, -coordinate,
-// -merge-shards, or -worker (fleet member). validateModeFlags is the
-// single place the legal combinations live, so every illegal mix dies
-// with a one-line usage error instead of a confusing failure deep
-// inside whichever mode happened to win.
+// the process role: plain campaign, -coordinate, -merge-shards, or
+// -worker (fleet member). validateModeFlags is the single place the
+// legal combinations live, so every illegal mix dies with a one-line
+// usage error instead of a confusing failure deep inside whichever
+// mode happened to win.
 type modeFlags struct {
-	shard       string // -shard i/N
-	coordinate  int    // -coordinate N
-	mergeShards bool   // -merge-shards
-	worker      bool   // -worker
-	shardDir    string // -shard-dir
-	leaseURL    string // -lease-url
-	leaseListen string // -lease-listen
-	workerIDSet bool   // -worker-id was given explicitly
-	slotsSet    bool   // -slots was given explicitly
+	shard          string // -shard i/N (removed; always an error)
+	coordinate     int    // -coordinate N
+	mergeShards    bool   // -merge-shards
+	worker         bool   // -worker
+	shardDir       string // -shard-dir
+	leaseURL       string // -lease-url
+	leaseListenSet bool   // -lease-listen was given explicitly
+	workerIDSet    bool   // -worker-id was given explicitly
+	slotsSet       bool   // -slots was given explicitly
 }
 
 // validateModeFlags enforces the flag matrix. Errors are one line and
@@ -42,18 +42,19 @@ func validateModeFlags(f modeFlags) error {
 	if len(modes) > 1 {
 		return fmt.Errorf("%s are mutually exclusive — pick one role per process", strings.Join(modes, " and "))
 	}
-	shardMode := f.shard != "" || f.coordinate > 0 || f.mergeShards
 	switch {
-	case shardMode && f.shardDir == "":
-		return fmt.Errorf("-shard, -coordinate and -merge-shards require -shard-dir")
+	case f.shard != "":
+		return fmt.Errorf("-shard was removed: -coordinate N spawns its own workers, and remote hosts join with -worker -lease-url")
+	case (f.coordinate > 0 || f.mergeShards) && f.shardDir == "":
+		return fmt.Errorf("-coordinate and -merge-shards require -shard-dir")
+	case f.leaseURL != "" && !f.worker:
+		return fmt.Errorf("-lease-url requires -worker: -coordinate always self-hosts its lease service (-lease-listen picks the address)")
 	case f.worker && f.leaseURL == "":
 		return fmt.Errorf("-worker requires -lease-url (the placement layer it registers with)")
 	case f.worker && f.shardDir != "":
 		return fmt.Errorf("-worker takes shard directories from its placements; drop -shard-dir")
-	case f.leaseListen != "" && f.coordinate <= 0:
+	case f.leaseListenSet && f.coordinate <= 0:
 		return fmt.Errorf("-lease-listen is a coordinator flag; it requires -coordinate")
-	case f.leaseListen != "" && f.leaseURL != "":
-		return fmt.Errorf("-lease-listen and -lease-url are mutually exclusive: self-host the lease service or point at one, not both")
 	case f.workerIDSet && !f.worker:
 		return fmt.Errorf("-worker-id requires -worker")
 	case f.slotsSet && !f.worker:

@@ -15,11 +15,8 @@ func TestValidateModeFlags(t *testing.T) {
 		want string // "" = legal; otherwise a substring of the error
 	}{
 		{"plain campaign", modeFlags{}, ""},
-		{"shard worker", modeFlags{shard: "2/8", shardDir: "d"}, ""},
-		{"shard worker with remote leases", modeFlags{shard: "2/8", shardDir: "d", leaseURL: "http://h:1"}, ""},
 		{"coordinator", modeFlags{coordinate: 4, shardDir: "d"}, ""},
-		{"coordinator self-hosting leases", modeFlags{coordinate: 4, shardDir: "d", leaseListen: "127.0.0.1:0"}, ""},
-		{"coordinator against external leases", modeFlags{coordinate: 4, shardDir: "d", leaseURL: "http://h:1"}, ""},
+		{"coordinator self-hosting leases", modeFlags{coordinate: 4, shardDir: "d", leaseListenSet: true}, ""},
 		{"merge", modeFlags{mergeShards: true, shardDir: "d"}, ""},
 		{"fleet worker", modeFlags{worker: true, leaseURL: "http://h:1"}, ""},
 		{"fleet worker with id and slots", modeFlags{worker: true, leaseURL: "http://h:1", workerIDSet: true, slotsSet: true}, ""},
@@ -31,16 +28,23 @@ func TestValidateModeFlags(t *testing.T) {
 		{"worker and coordinate", modeFlags{worker: true, coordinate: 2, shardDir: "d", leaseURL: "u"}, "mutually exclusive"},
 		{"all four roles", modeFlags{shard: "1/2", coordinate: 2, mergeShards: true, worker: true}, "mutually exclusive"},
 
-		{"shard without dir", modeFlags{shard: "1/2"}, "require -shard-dir"},
 		{"coordinate without dir", modeFlags{coordinate: 2}, "require -shard-dir"},
 		{"merge without dir", modeFlags{mergeShards: true}, "require -shard-dir"},
 
 		{"worker without lease url", modeFlags{worker: true}, "requires -lease-url"},
 		{"worker with shard dir", modeFlags{worker: true, leaseURL: "u", shardDir: "d"}, "drop -shard-dir"},
 
-		{"lease-listen without coordinate", modeFlags{leaseListen: "127.0.0.1:0"}, "requires -coordinate"},
-		{"lease-listen on a shard worker", modeFlags{shard: "1/2", shardDir: "d", leaseListen: ":0"}, "requires -coordinate"},
-		{"lease-listen and lease-url", modeFlags{coordinate: 2, shardDir: "d", leaseListen: ":0", leaseURL: "u"}, "mutually exclusive"},
+		{"lease-listen without coordinate", modeFlags{leaseListenSet: true}, "requires -coordinate"},
+		{"lease-listen on a fleet worker", modeFlags{worker: true, leaseURL: "u", leaseListenSet: true}, "requires -coordinate"},
+
+		// Removed modes: each is now a one-line error naming the
+		// replacement.
+		{"shard worker", modeFlags{shard: "2/8", shardDir: "d"}, "-shard was removed"},
+		{"shard worker with remote leases", modeFlags{shard: "2/8", shardDir: "d", leaseURL: "http://h:1"}, "-shard was removed"},
+		{"shard without dir", modeFlags{shard: "1/2"}, "-shard was removed"},
+		{"lease-listen on a shard worker", modeFlags{shard: "1/2", shardDir: "d", leaseListenSet: true}, "-shard was removed"},
+		{"coordinator against external leases", modeFlags{coordinate: 4, shardDir: "d", leaseURL: "http://h:1"}, "-lease-url requires -worker"},
+		{"lease-listen and lease-url", modeFlags{coordinate: 2, shardDir: "d", leaseListenSet: true, leaseURL: "u"}, "-lease-url requires -worker"},
 
 		{"worker-id without worker", modeFlags{workerIDSet: true}, "requires -worker"},
 		{"slots without worker", modeFlags{slotsSet: true}, "requires -worker"},

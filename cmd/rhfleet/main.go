@@ -21,6 +21,7 @@
 //	rhfleet -spec campaign.json
 //	rhfleet -exp hcfirst -modules 8 -fault-profile chaos -retries 4 -breaker 3
 //	rhfleet -compact -out fleet.jsonl
+//	rhfleet -coordinate 8 -shard-dir shards/ -exp hcfirst -modules 16 -lease-listen 10.0.0.1:8077
 //	rhfleet -worker -lease-url http://10.0.0.1:8077 -worker-id w1 -slots 2
 //
 // -worker joins the placement layer's fleet: the process registers
@@ -112,14 +113,14 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
-		shardDir    = flag.String("shard-dir", "", "shard directory for -shard/-coordinate/-merge-shards (checkpoints, leases, spec.json)")
-		shardArg    = flag.String("shard", "", "run one shard worker: i/N (e.g. 2/8); requires -shard-dir")
-		coordinate  = flag.Int("coordinate", 0, "coordinate an N-way sharded run: spawn N rhfleet -shard workers over -shard-dir, reassign dead shards, merge")
+		shardDir    = flag.String("shard-dir", "", "shard directory for -coordinate/-merge-shards (spec.json, shard checkpoints and fence files)")
+		shardArg    = flag.String("shard", "", "removed: -coordinate spawns its own workers, and remote hosts join with -worker -lease-url")
+		coordinate  = flag.Int("coordinate", 0, "coordinate an N-way sharded run over -shard-dir: self-host the lease service, spawn N rhfleet -worker processes against it, reassign dead shards, merge")
 		mergeShards = flag.Bool("merge-shards", false, "merge the shard checkpoints in -shard-dir into one summary/artifact, then exit")
-		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "coordinator: kill a shard worker whose lease heartbeat is older than this")
+		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "shard lease TTL: a worker whose heartbeat is frozen longer loses its shard")
 		maxRespawn  = flag.Int("max-respawns", 3, "coordinator: give up on a shard after this many reassignments")
-		leaseURL    = flag.String("lease-url", "", "lease service base URL (e.g. http://10.0.0.1:8077): shard ownership moves from local flock to fenced remote leases — workers may run on other hosts")
-		leaseListen = flag.String("lease-listen", "", "coordinator: self-host the lease service on this address (e.g. 127.0.0.1:0) and hand its URL to spawned workers")
+		leaseURL    = flag.String("lease-url", "", "worker: lease service base URL to join (a coordinator's lease service or an rhserved, e.g. http://10.0.0.1:8077)")
+		leaseListen = flag.String("lease-listen", "127.0.0.1:0", "coordinator: address its self-hosted lease service listens on — what remote -worker processes join")
 		workerMode  = flag.Bool("worker", false, "join the fleet: register with the placement layer at -lease-url and run whatever shard placements its scheduler assigns")
 		workerID    = flag.String("worker-id", "", "worker: registration ID (default host:pid); re-using an ID supersedes the previous holder")
 		slots       = flag.Int("slots", 1, "worker: shard placements to run concurrently")
@@ -164,7 +165,7 @@ rhfleet processes per checkpoint.
 	if err := validateModeFlags(modeFlags{
 		shard: *shardArg, coordinate: *coordinate, mergeShards: *mergeShards,
 		worker: *workerMode, shardDir: *shardDir,
-		leaseURL: *leaseURL, leaseListen: *leaseListen,
+		leaseURL: *leaseURL, leaseListenSet: explicit["lease-listen"],
 		workerIDSet: explicit["worker-id"], slotsSet: explicit["slots"],
 	}); err != nil {
 		fatalUsage(err)
@@ -180,11 +181,10 @@ rhfleet processes per checkpoint.
 			quiet: *quiet, timeout: *timeout, drainTO: *drainTO,
 		}))
 	}
-	shardMode := *shardArg != "" || *coordinate > 0 || *mergeShards
 	// Shard modes default to the directory's persisted spec, so a
-	// restarted coordinator (or a hand-run worker or merge) needs no
-	// flag replay: the directory says what campaign it holds.
-	if shardMode && *specIn == "" {
+	// restarted coordinator (or a merge) needs no flag replay: the
+	// directory says what campaign it holds.
+	if (*coordinate > 0 || *mergeShards) && *specIn == "" {
 		if p := shard.SpecPath(*shardDir); fileExists(p) {
 			*specIn = p
 		}
@@ -212,18 +212,11 @@ rhfleet processes per checkpoint.
 
 	// Distributed modes run over -shard-dir and never touch -out.
 	switch {
-	case *shardArg != "":
-		exit(runShardWorker(shardWorkerConfig{
-			assignment: *shardArg, dir: *shardDir, rsv: rsv, profile: profile,
-			quiet: *quiet, timeout: *timeout, drainTO: *drainTO,
-			leaseURL: *leaseURL, leaseTTL: *leaseTTL, netChaos: *netChaos,
-		}))
 	case *coordinate > 0:
 		exit(runCoordinator(coordinatorConfig{
 			dir: *shardDir, shards: *coordinate, wire: ws, rsv: rsv,
 			faults: *faults, quiet: *quiet, timeout: *timeout, drainTO: *drainTO,
-			leaseTTL: *leaseTTL, maxRespawns: *maxRespawn,
-			leaseURL: *leaseURL, leaseListen: *leaseListen,
+			leaseTTL: *leaseTTL, maxRespawns: *maxRespawn, leaseListen: *leaseListen,
 			format: *format, sumOut: *sumOut, artOut: *artOut,
 		}))
 	case *mergeShards:
@@ -299,7 +292,7 @@ rhfleet processes per checkpoint.
 		fatal(err)
 	}
 	defer cw.Close()
-	armFailpoint(cw)
+	armFailpoint(cw, os.Getenv("RHFLEET_FAILPOINT"))
 
 	base := context.Background()
 	if *timeout > 0 {

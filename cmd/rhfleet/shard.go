@@ -10,9 +10,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"syscall"
+	"sync"
 	"time"
 
 	rh "rowhammer"
@@ -25,43 +26,22 @@ import (
 )
 
 // The distributed modes. One campaign splits into N disjoint shards
-// (internal/shard), each an independent `rhfleet -shard i/N` process
-// with its own v2 checkpoint and flock-backed lease under -shard-dir;
-// `rhfleet -coordinate N` spawns and supervises them — reassigning a
-// dead or stalled shard's remaining jobs to a fresh worker — and
-// `rhfleet -merge-shards` folds the shard checkpoints into a summary
-// or artifact byte-identical to a single-process run.
-//
-// With -lease-url (or a coordinator's -lease-listen), shard ownership
-// moves from local flocks to the fenced lease service: workers may run
-// on any host that can reach the URL and the shared -shard-dir, every
-// acquisition mints a monotonic fencing token enforced on each record
-// append, and the coordinator supervises liveness through lease
-// heartbeats instead of lease-file mtimes.
+// (internal/shard), each with its own v2 checkpoint and fence file
+// under -shard-dir and its own fenced lease in a lease service.
+// `rhfleet -coordinate N` self-hosts that service, spawns N
+// `rhfleet -worker` processes against it, places the shards onto them
+// — reassigning a dead or stalled worker's shards — and merges;
+// `rhfleet -worker -lease-url` joins a coordinator's (or rhserved's)
+// fleet from any host that can reach the URL and the shared
+// -shard-dir; `rhfleet -merge-shards` folds the shard checkpoints into
+// a summary or artifact byte-identical to a single-process run.
 
-// shardWorkerConfig parameterizes one -shard i/N worker run.
-type shardWorkerConfig struct {
-	assignment string
-	dir        string
-	rsv        server.Resolved
-	profile    *inject.Profile
-	quiet      bool
-	timeout    time.Duration
-	drainTO    time.Duration
-	leaseURL   string
-	leaseTTL   time.Duration
-	netChaos   string
-}
-
-// leaseClient builds a lease/registry client for the -lease-url
-// modes, wrapping its transport with the deterministic network chaos
-// profile when one is armed (the -net-chaos flag, or RHFLEET_NETCHAOS
-// from a coordinator drill). The same client speaks both halves of
-// the placement layer: fenced shard leases and the worker registry.
+// leaseClient builds a lease/registry client for -worker mode,
+// wrapping its transport with a deterministic network chaos profile
+// when one is armed (the -net-chaos flag, or a per-shard drill seam).
+// The same client speaks both halves of the placement layer: fenced
+// shard leases and the worker registry.
 func leaseClient(baseURL, chaosSpec string, seed uint64, label string) (*leasesvc.Client, error) {
-	if chaosSpec == "" {
-		chaosSpec = os.Getenv("RHFLEET_NETCHAOS")
-	}
 	c := &leasesvc.Client{BaseURL: strings.TrimRight(baseURL, "/"), Seed: seed}
 	if chaosSpec != "" && chaosSpec != "none" {
 		p, err := inject.ParseNet(chaosSpec)
@@ -76,90 +56,9 @@ func leaseClient(baseURL, chaosSpec string, seed uint64, label string) (*leasesv
 	return c, nil
 }
 
-// runShardWorker is the -shard i/N mode: run exactly this shard's
-// slice of the grid, heartbeating the shard lease, and exit with the
-// same code conventions as a whole-campaign run.
-func runShardWorker(cfg shardWorkerConfig) int {
-	a, err := shard.ParseAssignment(cfg.assignment)
-	if err != nil {
-		fatalUsage(err)
-	}
-	base := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		base, cancel = context.WithTimeout(base, cfg.timeout)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
-
-	runner := cfg.rsv.Runner
-	if cfg.profile != nil {
-		runner = inject.WrapRunner(runner, cfg.profile)
-		fmt.Fprintf(os.Stderr, "rhfleet: shard %s: fault injection active: %s (seed %d)\n", a, cfg.profile, cfg.profile.Seed)
-	}
-	start := time.Now()
-	rc := shard.RunConfig{
-		Dir:           cfg.dir,
-		Assignment:    a,
-		Spec:          cfg.rsv.Spec,
-		Runner:        runner,
-		Drain:         drainCh,
-		ArmCheckpoint: armFailpoint,
-		Log:           func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) },
-	}
-	if cfg.leaseURL != "" {
-		client, cerr := leaseClient(cfg.leaseURL, cfg.netChaos, cfg.rsv.Spec.Seed, fmt.Sprintf("shard-%d", a.Index))
-		if cerr != nil {
-			fatalUsage(cerr)
-		}
-		rc.Lease = client
-		rc.LeaseTTL = cfg.leaseTTL
-		rc.Owner = leasesvc.DefaultOwner()
-	}
-	if !cfg.quiet {
-		rc.Progress = func(done, total int, rec rh.CampaignRecord) {
-			status := "ok"
-			if rec.Err != "" {
-				status = "FAILED: " + rec.Err
-			}
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s [%d/%d] %-24s %s (%.1fs elapsed)\n",
-				a, done, total, rec.Key, status, time.Since(start).Seconds())
-		}
-	}
-	res, err := shard.RunShard(ctx, rc)
-	if res != nil {
-		fmt.Fprintf(os.Stderr, "rhfleet: shard %s: %d run, %d resumed, %d retried, %d failed in %v\n",
-			a, res.Completed, res.Skipped, res.Retried, res.Failed, time.Since(start).Round(time.Millisecond))
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, shard.ErrFenced):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s fenced: a successor holds a newer lease token — this worker's remaining appends were refused (%v)\n", a, err)
-			return 1
-		case errors.Is(err, rh.ErrCampaignDrained):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s drained; checkpoint flushed — the coordinator (or a rerun) resumes it\n", a)
-			return 3
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s interrupted (%v)\n", a, err)
-			return 3
-		case res != nil && res.Quarantined > 0:
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s partial: %d jobs quarantined (modules %s)\n",
-				a, res.Quarantined, strings.Join(res.QuarantinedModules(), ", "))
-			return 4
-		default:
-			fmt.Fprintf(os.Stderr, "rhfleet: shard %s: %v\n", a, err)
-			return 1
-		}
-	}
-	return 0
-}
-
 // fleetWorkerCfg parameterizes a -worker process: a fleet member that
 // registers with the placement layer at -lease-url and pulls shard
-// placements from the scheduler instead of being handed one on the
-// command line.
+// placements from the scheduler.
 type fleetWorkerCfg struct {
 	id       string
 	slots    int
@@ -175,12 +74,8 @@ type fleetWorkerCfg struct {
 
 // runFleetWorker is the -worker mode: register with the worker
 // registry, heartbeat, and execute whatever placements the scheduler
-// assigns. Each placement resolves its own campaign from the
-// spec.json the coordinator persisted into the placement's shard
-// directory, verifies the campaign identity against the placement,
-// and runs under the shard's fenced lease — exactly what a
-// hand-started `rhfleet -shard i/N -lease-url ...` does, minus the
-// hands.
+// assigns through server.RunPlacement — the placement runner rhserved's
+// in-process workers share — each under the shard's fenced lease.
 func runFleetWorker(cfg fleetWorkerCfg) int {
 	id := cfg.id
 	if id == "" {
@@ -200,44 +95,25 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 	defer cancel()
 	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
 	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) }
+	var wrap func(campaign.Runner) campaign.Runner
+	if cfg.profile != nil {
+		wrap = func(r campaign.Runner) campaign.Runner { return inject.WrapRunner(r, cfg.profile) }
+	}
+	seams := newDrillSeams()
 
 	run := func(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
-		specPath := shard.SpecPath(p.Dir)
-		b, err := os.ReadFile(specPath)
-		if err != nil {
-			return err
-		}
-		var ws server.Spec
-		if err := json.Unmarshal(b, &ws); err != nil {
-			return fmt.Errorf("parsing %s: %w", specPath, err)
-		}
-		raw, err := ws.CampaignSpec()
-		if err != nil {
-			return err
-		}
-		rsv, err := server.Resolve(raw)
-		if err != nil {
-			return err
-		}
-		if got := rsv.Spec.IdentityHash(); got != p.Campaign {
-			return fmt.Errorf("placement names campaign %s but %s resolves to %s", p.Campaign, specPath, got)
-		}
-		runner := rsv.Runner
-		if cfg.profile != nil {
-			runner = inject.WrapRunner(runner, cfg.profile)
-		}
 		a := shard.Assignment{Index: p.Shard, Of: p.Of}
-		rc := shard.RunConfig{
-			Dir:           p.Dir,
-			Assignment:    a,
-			Spec:          rsv.Spec,
-			Runner:        runner,
-			Drain:         drain,
-			ArmCheckpoint: armFailpoint,
-			Lease:         client,
-			LeaseTTL:      cfg.leaseTTL,
-			Owner:         id,
-			Log:           logf,
+		rc := shard.RunConfig{Lease: client, LeaseTTL: cfg.leaseTTL, Owner: id, Log: logf}
+		failOff, chaos := seams.take(ctx, client, p)
+		if failOff != "" {
+			rc.ArmCheckpoint = func(cw *campaign.CheckpointWriter) { armFailpoint(cw, failOff) }
+		}
+		if chaos != "" {
+			c, err := leaseClient(cfg.leaseURL, chaos, cfg.seed, fmt.Sprintf("shard-%d", a.Index))
+			if err != nil {
+				return err
+			}
+			rc.Lease = c
 		}
 		if !cfg.quiet {
 			start := time.Now()
@@ -250,8 +126,7 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 					a, done, total, rec.Key, status, time.Since(start).Seconds())
 			}
 		}
-		_, err = shard.RunShard(ctx, rc)
-		return err
+		return server.RunPlacement(ctx, p, drain, rc, wrap)
 	}
 
 	err = shard.RunWorker(ctx, shard.WorkerConfig{
@@ -276,6 +151,60 @@ func runFleetWorker(cfg fleetWorkerCfg) int {
 	}
 }
 
+// drillSeams are a worker's crash and network-chaos drill seams:
+// RHFLEET_SHARD_FAILPOINT="i:off" SIGKILLs the worker after off bytes
+// of shard i's checkpoint, and RHFLEET_SHARD_NETCHAOS="i:profile" runs
+// shard i's lease traffic under a network chaos profile — both on
+// shard i's generation 0 only. A coordinator hands the variables to
+// its first-generation workers alone; a worker arms each seam at most
+// once, and only while shard i's lease has never been granted, so a
+// reassigned shard runs clean wherever it lands.
+type drillSeams struct {
+	mu                    sync.Mutex
+	failShard, chaosShard int
+	failOff, chaosProfile string
+}
+
+func newDrillSeams() *drillSeams {
+	d := &drillSeams{}
+	d.failShard, d.failOff = parseShardSeam("RHFLEET_SHARD_FAILPOINT")
+	d.chaosShard, d.chaosProfile = parseShardSeam("RHFLEET_SHARD_NETCHAOS")
+	return d
+}
+
+// take returns the failpoint offset and chaos profile to arm for
+// placement p ("" for none), disarming whatever it returns.
+func (d *drillSeams) take(ctx context.Context, svc leasesvc.API, p leasesvc.Placement) (failOff, chaos string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p.Shard != d.failShard && p.Shard != d.chaosShard {
+		return "", ""
+	}
+	if v, ok, err := svc.View(ctx, p.LeaseKey()); err != nil || (ok && v.Token > 0) {
+		return "", ""
+	}
+	if p.Shard == d.failShard {
+		failOff, d.failOff, d.failShard = d.failOff, "", -1
+	}
+	if p.Shard == d.chaosShard {
+		chaos, d.chaosProfile, d.chaosShard = d.chaosProfile, "", -1
+	}
+	return failOff, chaos
+}
+
+// parseShardSeam reads a drill variable of the form "i:value".
+func parseShardSeam(name string) (shardIdx int, value string) {
+	i, rest, ok := strings.Cut(os.Getenv(name), ":")
+	if !ok {
+		return -1, ""
+	}
+	idx, err := strconv.Atoi(i)
+	if err != nil || idx < 0 || rest == "" {
+		return -1, ""
+	}
+	return idx, rest
+}
+
 // coordinatorConfig parameterizes a -coordinate N run.
 type coordinatorConfig struct {
 	dir         string
@@ -288,55 +217,22 @@ type coordinatorConfig struct {
 	drainTO     time.Duration
 	leaseTTL    time.Duration
 	maxRespawns int
-	leaseURL    string
 	leaseListen string
 	format      string
 	sumOut      string
 	artOut      string
 }
 
-// leaseService resolves the coordinator's lease setup: -lease-listen
-// self-hosts a leasesvc.Service over HTTP and hands workers its URL;
-// -lease-url points everyone at an external service (rhserved). The
-// returned probe supervises workers through lease heartbeats, url is
-// what spawned workers get as -lease-url, svc is the self-hosted
-// service (nil otherwise) so the coordinator can mirror its local
-// workers into the worker registry, and shutdown closes the
-// self-hosted listener (no-op for external services).
-func leaseService(cfg coordinatorConfig, campaignHash string) (probe func(shard.Assignment) (shard.Probe, error), url string, svc *leasesvc.Service, shutdown func(), err error) {
-	switch {
-	case cfg.leaseListen != "":
-		ln, lerr := net.Listen("tcp", cfg.leaseListen)
-		if lerr != nil {
-			return nil, "", nil, nil, fmt.Errorf("lease-listen: %w", lerr)
-		}
-		svc = leasesvc.NewService(cfg.leaseTTL)
-		srv := &http.Server{
-			Handler:           svc.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       120 * time.Second,
-		}
-		go srv.Serve(ln)
-		url = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "rhfleet: lease service listening on %s\n", url)
-		return shard.ServiceProbe(svc, campaignHash), url, svc, func() { srv.Close() }, nil
-	case cfg.leaseURL != "":
-		client := &leasesvc.Client{BaseURL: strings.TrimRight(cfg.leaseURL, "/"), Seed: cfg.rsv.Spec.Seed}
-		return shard.ServiceProbe(client, campaignHash), cfg.leaseURL, nil, func() {}, nil
-	}
-	return nil, "", nil, func() {}, nil
-}
-
 // runCoordinator is the -coordinate N mode: persist the wire spec,
-// spawn one rhfleet -shard worker per incomplete shard, supervise
-// leases, reassign dead shards, and merge.
+// self-host the lease service, spawn N local -worker processes against
+// it, place and supervise the shards, and merge.
 func runCoordinator(cfg coordinatorConfig) int {
 	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 		fatal(err)
 	}
-	// Persist the wire spec first: workers are spawned with
-	// `-spec <dir>/spec.json`, and any later merge or coordinator
-	// restart reads the campaign from the directory itself.
+	// Persist the wire spec first: workers resolve each placement's
+	// campaign from <dir>/spec.json, and any later merge or
+	// coordinator restart reads the campaign from the directory itself.
 	wb, err := json.MarshalIndent(cfg.wire, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -344,7 +240,6 @@ func runCoordinator(cfg coordinatorConfig) int {
 	if err := durable.AtomicWriteFile(shard.SpecPath(cfg.dir), append(wb, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-
 	exe, err := os.Executable()
 	if err != nil {
 		fatal(err)
@@ -358,75 +253,191 @@ func runCoordinator(cfg coordinatorConfig) int {
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	drainCh := armDrainSignals(ctx, cancel, cfg.drainTO)
+	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) }
 
-	norm, err := cfg.rsv.Spec.Normalize()
+	svc := leasesvc.NewService(cfg.leaseTTL)
+	ln, err := net.Listen("tcp", cfg.leaseListen)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("lease-listen: %w", err))
 	}
-	probe, leaseURL, leaseSvc, leaseShutdown, err := leaseService(cfg, norm.IdentityHash())
-	if err != nil {
-		fatal(err)
-	}
-	defer leaseShutdown()
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 120 * time.Second}
+	go srv.Serve(ln)
+	defer srv.Close()
+	url := "http://" + ln.Addr().String()
+	logf("lease service listening on %s", url)
 
-	failShard, failOff := parseShardFailpoint()
-	chaosShard, chaosProfile := parseShardNetChaos()
-	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
-		args := []string{
-			"-shard", a.String(),
-			"-shard-dir", cfg.dir,
-			"-spec", shard.SpecPath(cfg.dir),
-		}
-		if leaseURL != "" {
-			args = append(args, "-lease-url", leaseURL, "-lease-ttl", cfg.leaseTTL.String())
-		}
-		if cfg.quiet {
-			args = append(args, "-quiet")
-		}
-		if cfg.faults != "" {
-			args = append(args, "-fault-profile", cfg.faults)
-		}
-		cmd := exec.Command(exe, args...)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		cmd.Env = workerEnv(a, gen, failShard, failOff, chaosShard, chaosProfile)
-		cmd.SysProcAttr = workerSysProcAttr()
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &execWorker{cmd: cmd}, nil
+	args := []string{"-worker", "-slots", "1", "-lease-url", url, "-lease-ttl", cfg.leaseTTL.String()}
+	if cfg.quiet {
+		args = append(args, "-quiet")
 	}
+	if cfg.faults != "" {
+		args = append(args, "-fault-profile", cfg.faults)
+	}
+	workers := &localFleet{svc: svc, exe: exe, args: args, pace: cfg.leaseTTL / 4, drain: drainCh, logf: logf}
+	workers.start(cfg.shards)
+	defer workers.close()
 
 	start := time.Now()
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir:         cfg.dir,
 		Spec:        cfg.rsv.Spec,
 		Shards:      cfg.shards,
-		Spawn:       spawn,
-		Registry:    leaseSvc,
+		Fleet:       svc,
 		LeaseTTL:    cfg.leaseTTL,
 		MaxRespawns: cfg.maxRespawns,
-		Probe:       probe,
 		Drain:       drainCh,
-		Log:         func(f string, args ...any) { fmt.Fprintf(os.Stderr, "rhfleet: "+f+"\n", args...) },
+		Log:         logf,
 	})
 	if res != nil && rep != nil {
-		fmt.Fprintf(os.Stderr, "rhfleet: coordinated %d shard(s): %d/%d job(s) recorded, %d failed in %v\n",
+		logf("coordinated %d shard(s): %d/%d job(s) recorded, %d failed in %v",
 			cfg.shards, rep.Records, res.Total, rep.Failed, time.Since(start).Round(time.Millisecond))
 	}
 	if err != nil {
 		switch {
 		case errors.Is(err, rh.ErrCampaignDrained):
-			fmt.Fprintf(os.Stderr, "rhfleet: drained; rerun `rhfleet -coordinate %d -shard-dir %s` to finish\n", cfg.shards, cfg.dir)
+			logf("drained; rerun `rhfleet -coordinate %d -shard-dir %s` to finish", cfg.shards, cfg.dir)
 			return 3
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintf(os.Stderr, "rhfleet: interrupted (%v); rerun -coordinate to resume\n", err)
+			logf("interrupted (%v); rerun -coordinate to resume", err)
 			return 3
 		default:
-			fmt.Fprintf(os.Stderr, "rhfleet: %v\n", err)
+			logf("%v", err)
 			return 1
 		}
 	}
 	return emitMerged(cfg.rsv, res, rep, cfg.format, cfg.sumOut, cfg.artOut)
+}
+
+// localFleet is the fleet a coordinator spawns for itself: one
+// `rhfleet -worker -slots 1` process per shard, registered with the
+// coordinator's own lease service and tied to the coordinator by
+// PDEATHSIG. A worker that exits is evicted from the service the
+// moment its Wait returns — registration ended, shard leases released
+// — so the scheduler reassigns its shards on its next tick instead of
+// waiting out a TTL; then it is respawned, unless the coordinator is
+// draining or done.
+type localFleet struct {
+	svc   *leasesvc.Service
+	exe   string
+	args  []string      // worker flags shared by every process
+	pace  time.Duration // minimum wait before respawning a worker that died young
+	drain <-chan struct{}
+	logf  func(format string, args ...any)
+
+	wg     sync.WaitGroup
+	done   chan struct{} // closed by close
+	mu     sync.Mutex
+	procs  map[string]*os.Process
+	closed bool
+}
+
+// start spawns workers local-0 … local-(n-1).
+func (f *localFleet) start(n int) {
+	f.procs = make(map[string]*os.Process, n)
+	f.done = make(chan struct{})
+	for i := 0; i < n; i++ {
+		f.wg.Add(1)
+		go f.supervise(fmt.Sprintf("local-%d", i))
+	}
+}
+
+// supervise runs worker id's spawn generations until the fleet stops.
+func (f *localFleet) supervise(id string) {
+	defer f.wg.Done()
+	for gen := 0; ; gen++ {
+		cmd := exec.Command(f.exe, slices.Concat(f.args, []string{"-worker-id", id})...)
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+		cmd.Env = workerEnv(gen)
+		cmd.SysProcAttr = workerSysProcAttr()
+		f.mu.Lock()
+		if f.closed {
+			f.mu.Unlock()
+			return
+		}
+		err := cmd.Start()
+		if err == nil {
+			f.procs[id] = cmd.Process
+		}
+		f.mu.Unlock()
+		if err != nil {
+			f.logf("worker %s: spawn: %v", id, err)
+			return
+		}
+		f.logf("spawned worker %s (pid %d)", id, cmd.Process.Pid)
+		born := time.Now()
+		if !f.reap(id, cmd.Process.Pid, cmd.Wait()) {
+			return
+		}
+		// Pace a worker that dies young instead of crash-looping hot.
+		if time.Since(born) < 4*f.pace {
+			select {
+			case <-time.After(f.pace):
+			case <-f.drain:
+				return
+			case <-f.done:
+				return
+			}
+		}
+	}
+}
+
+// reap is the death handler, run the moment a worker's Wait returns:
+// evict it from the lease service and report whether to respawn it.
+func (f *localFleet) reap(id string, pid int, err error) bool {
+	f.mu.Lock()
+	delete(f.procs, id)
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
+		return false
+	}
+	f.svc.EvictWorker(id)
+	if err == nil {
+		err = errors.New("exit status 0")
+	}
+	select {
+	case <-f.drain:
+		f.logf("worker %s (pid %d) exited: %v", id, pid, err)
+		return false
+	default:
+		f.logf("worker %s (pid %d) exited: %v; respawning", id, pid, err)
+		return true
+	}
+}
+
+// close kills every worker and waits for the supervisors. Workers are
+// idle by the time Coordinate returns cleanly; on an abort, their
+// checkpoints are crash-safe anyway.
+func (f *localFleet) close() {
+	f.mu.Lock()
+	f.closed = true
+	close(f.done)
+	for _, p := range f.procs {
+		p.Kill()
+	}
+	f.mu.Unlock()
+	f.wg.Wait()
+}
+
+// workerEnv builds a spawned worker's environment: the coordinator's
+// own drill variables are stripped — a coordinator under drill must
+// not arm every worker — except that first-generation workers inherit
+// the per-shard seams (see drillSeams).
+func workerEnv(gen int) []string {
+	env := make([]string, 0, len(os.Environ()))
+	for _, kv := range os.Environ() {
+		name, _, _ := strings.Cut(kv, "=")
+		switch name {
+		case "RHFLEET_FAILPOINT":
+			continue
+		case "RHFLEET_SHARD_FAILPOINT", "RHFLEET_SHARD_NETCHAOS":
+			if gen > 0 {
+				continue
+			}
+		}
+		env = append(env, kv)
+	}
+	return env
 }
 
 // runMergeShards is the -merge-shards mode: fold whatever shard
@@ -501,81 +512,4 @@ func quarantinedCount(res *campaign.Result) int {
 		}
 	}
 	return n
-}
-
-// execWorker adapts an exec'd rhfleet -shard subprocess to the
-// coordinator's WorkerHandle.
-type execWorker struct{ cmd *exec.Cmd }
-
-func (w *execWorker) Wait() error { return w.cmd.Wait() }
-func (w *execWorker) Kill() {
-	if p := w.cmd.Process; p != nil {
-		p.Kill()
-	}
-}
-
-// Drain forwards the coordinator's graceful shutdown: SIGTERM
-// triggers the worker's own drain path (finish in-flight jobs, flush
-// the checkpoint, exit 3).
-func (w *execWorker) Drain() {
-	if p := w.cmd.Process; p != nil {
-		p.Signal(syscall.SIGTERM)
-	}
-}
-
-// parseShardFailpoint reads RHFLEET_SHARD_FAILPOINT="i:off" — the
-// crash-drill seam: arm RHFLEET_FAILPOINT=off on shard i's
-// generation-0 worker only, so the drill kills exactly one worker at
-// an exact checkpoint byte and the reassigned generation runs clean.
-func parseShardFailpoint() (shardIdx int, off string) {
-	v := os.Getenv("RHFLEET_SHARD_FAILPOINT")
-	i, rest, ok := strings.Cut(v, ":")
-	if !ok {
-		return -1, ""
-	}
-	idx, err := strconv.Atoi(i)
-	if err != nil || idx < 0 || rest == "" {
-		return -1, ""
-	}
-	return idx, rest
-}
-
-// parseShardNetChaos reads RHFLEET_SHARD_NETCHAOS="i:profile" — the
-// network chaos drill seam, shaped exactly like the failpoint seam:
-// arm RHFLEET_NETCHAOS=profile on shard i's generation-0 worker only,
-// so one worker rides out (or dies under) a deterministic partition
-// while its reassigned generation runs on a clean network.
-func parseShardNetChaos() (shardIdx int, profile string) {
-	v := os.Getenv("RHFLEET_SHARD_NETCHAOS")
-	i, rest, ok := strings.Cut(v, ":")
-	if !ok {
-		return -1, ""
-	}
-	idx, err := strconv.Atoi(i)
-	if err != nil || idx < 0 || rest == "" {
-		return -1, ""
-	}
-	return idx, rest
-}
-
-// workerEnv builds a shard worker's environment: the coordinator's
-// own drill variables are stripped (a coordinator under drill must
-// not arm every worker), then the per-shard failpoint and network
-// chaos profile are armed on their targeted generation-0 workers.
-func workerEnv(a shard.Assignment, gen, failShard int, failOff string, chaosShard int, chaosProfile string) []string {
-	env := make([]string, 0, len(os.Environ())+2)
-	for _, kv := range os.Environ() {
-		if strings.HasPrefix(kv, "RHFLEET_FAILPOINT=") || strings.HasPrefix(kv, "RHFLEET_SHARD_FAILPOINT=") ||
-			strings.HasPrefix(kv, "RHFLEET_NETCHAOS=") || strings.HasPrefix(kv, "RHFLEET_SHARD_NETCHAOS=") {
-			continue
-		}
-		env = append(env, kv)
-	}
-	if a.Index == failShard && gen == 0 && failOff != "" {
-		env = append(env, "RHFLEET_FAILPOINT="+failOff)
-	}
-	if a.Index == chaosShard && gen == 0 && chaosProfile != "" {
-		env = append(env, "RHFLEET_NETCHAOS="+chaosProfile)
-	}
-	return env
 }

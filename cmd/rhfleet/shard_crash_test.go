@@ -9,6 +9,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -125,8 +127,8 @@ func TestCrashShardWorkerKillReassign(t *testing.T) {
 }
 
 // TestCrashShardCoordinatorKillResume SIGKILLs the coordinator
-// itself mid-campaign. PDEATHSIG takes the shard workers down with it
-// (their leases free), and a rerun of -coordinate over the same
+// itself mid-campaign. PDEATHSIG takes the shard workers down with it,
+// and a rerun of -coordinate over the same
 // directory — no flag replay, the directory's spec.json says what to
 // run — must converge to the byte-identical summary.
 func TestCrashShardCoordinatorKillResume(t *testing.T) {
@@ -145,6 +147,9 @@ func TestCrashShardCoordinatorKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := adoptOrphans(); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	sum := filepath.Join(dir, "sum.json")
 	cmd := exec.Command(fleetBinary(t), coordArgs(dir, sum, 4)...)
@@ -174,21 +179,31 @@ func TestCrashShardCoordinatorKillResume(t *testing.T) {
 	}
 	cmd.Wait()
 
-	// PDEATHSIG: the orphaned workers must die with the coordinator,
-	// freeing every shard lease.
-	leaseDeadline := time.Now().Add(5 * time.Second)
+	// PDEATHSIG: the orphaned workers must die with the coordinator.
+	// The coordinator logs every worker it spawns with its PID; each
+	// must be gone (kill(pid, 0) = ESRCH) within the deadline.
+	var pids []int
+	for _, m := range regexp.MustCompile(`spawned worker \S+ \(pid (\d+)\)`).FindAllStringSubmatch(stderr.String(), -1) {
+		pid, _ := strconv.Atoi(m[1])
+		pids = append(pids, pid)
+	}
+	if len(pids) == 0 {
+		t.Fatalf("coordinator logged no spawned worker PIDs\n%s", stderr.String())
+	}
+	orphanDeadline := time.Now().Add(5 * time.Second)
 	for {
-		held := 0
-		for _, a := range shard.Partition(4) {
-			if p, err := shard.ProbeLease(shard.LeasePath(dir, a)); err == nil && p.Held {
-				held++
+		alive := 0
+		for _, pid := range pids {
+			reapOrphan(pid)
+			if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+				alive++
 			}
 		}
-		if held == 0 {
+		if alive == 0 {
 			break
 		}
-		if time.Now().After(leaseDeadline) {
-			t.Fatalf("%d shard lease(s) still held after coordinator SIGKILL — workers orphaned", held)
+		if time.Now().After(orphanDeadline) {
+			t.Fatalf("%d shard worker(s) still alive after coordinator SIGKILL — workers orphaned", alive)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -87,11 +87,6 @@ type CampaignSpec struct {
 
 // CampaignOptions controls checkpointing and progress reporting.
 type CampaignOptions struct {
-	// Checkpoint, when non-nil, receives one JSONL record per finished
-	// job as it completes (the legacy v1 stream). Prefer Records with a
-	// CampaignCheckpointWriter, which adds the v2 header and per-record
-	// CRC trailers; when both are set, Records wins.
-	Checkpoint io.Writer
 	// Records, when non-nil, receives every finished record; use
 	// CreateCampaignCheckpoint or AppendCampaignCheckpoint to stream
 	// the crash-safe v2 checkpoint format.
@@ -284,12 +279,11 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (
 		runner = inject.WrapRunner(runner, opts.FaultProfile)
 	}
 	res, err := campaign.Run(ctx, cspec, campaign.Options{
-		Runner:     runner,
-		Checkpoint: opts.Checkpoint,
-		Records:    opts.Records,
-		Done:       opts.Resume,
-		Progress:   opts.Progress,
-		Drain:      opts.Drain,
+		Runner:   runner,
+		Records:  opts.Records,
+		Done:     opts.Resume,
+		Progress: opts.Progress,
+		Drain:    opts.Drain,
 	})
 	if res == nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,7 +92,7 @@ func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 	var once sync.Once
 	var done atomic.Int64
 	res, err := RunCampaign(ctx, spec, CampaignOptions{
-		Checkpoint: &cp,
+		Records: v1Stream{&cp},
 		Progress: func(_, _ int, rec CampaignRecord) {
 			if rec.Err == "" && done.Add(1) >= 5 {
 				once.Do(cancel)
@@ -191,3 +192,10 @@ func TestSurveyPatternsHonorsCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// v1Stream adapts a plain writer to the campaign record sink by
+// writing the legacy v1 JSONL stream, which the resume loaders still
+// read.
+type v1Stream struct{ w io.Writer }
+
+func (s v1Stream) WriteRecord(rec CampaignRecord) error { return WriteCampaignRecord(s.w, rec) }

@@ -275,8 +275,9 @@ type Record struct {
 	// round trips so resumed fragments merge bit-identically.
 	Artifact json.RawMessage `json:"artifact,omitempty"`
 	// Fence is the fencing token of the shard lease under which the
-	// record was appended (internal/shard remote leases). Zero for
-	// local-flock and single-process runs. The token never feeds the
+	// record was appended (internal/shard). Zero for single-process
+	// runs and for shard checkpoints written before every shard ran
+	// under a fenced lease. The token never feeds the
 	// aggregate — it exists so a checkpoint says which lease generation
 	// published each record, and so a fenced zombie's appends are
 	// attributable when forensics ever need them.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,13 @@ func TestExpandDeterministicOrder(t *testing.T) {
 	}
 }
 
+// v1Stream adapts a plain writer to the engine's record sink by
+// writing the legacy v1 JSONL stream, so these tests can keep
+// inspecting raw lines.
+type v1Stream struct{ w io.Writer }
+
+func (s v1Stream) WriteRecord(rec Record) error { return WriteRecord(s.w, rec) }
+
 func TestNormalizeRejectsUnknownKind(t *testing.T) {
 	_, err := Spec{Kind: "bogus"}.Normalize()
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
@@ -66,8 +74,8 @@ func TestNormalizeRejectsUnknownKind(t *testing.T) {
 func TestRunCompletesAllJobs(t *testing.T) {
 	var cp bytes.Buffer
 	res, err := Run(context.Background(), testSpec([]string{"A", "B", "C", "D"}, 4), Options{
-		Runner:     fakeRunner(nil),
-		Checkpoint: &cp,
+		Runner:  fakeRunner(nil),
+		Records: v1Stream{&cp},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -143,7 +151,7 @@ func TestPersistentPanicIsReportedNotLost(t *testing.T) {
 	var cp bytes.Buffer
 	spec := testSpec([]string{"A"}, 2)
 	spec.MaxRetries = 2
-	res, err := Run(context.Background(), spec, Options{Runner: runner, Checkpoint: &cp})
+	res, err := Run(context.Background(), spec, Options{Runner: runner, Records: v1Stream{&cp}})
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 jobs failed") {
 		t.Fatalf("want failure-count error, got %v", err)
 	}
@@ -187,8 +195,8 @@ func TestInterruptedResumeBitIdenticalAggregate(t *testing.T) {
 	var once sync.Once
 	var completions atomic.Int64
 	res, err := Run(ctx, spec, Options{
-		Runner:     fakeRunner(nil),
-		Checkpoint: &cp,
+		Runner:  fakeRunner(nil),
+		Records: v1Stream{&cp},
 		Progress: func(done, total int, rec Record) {
 			if !rec.Failed() && completions.Add(1) >= 5 {
 				once.Do(cancel)

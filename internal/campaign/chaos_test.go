@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -229,8 +230,8 @@ func TestChaosFaultyRunResumesBitIdentical(t *testing.T) {
 	var cp bytes.Buffer
 	completions := 0
 	_, err = campaign.Run(ctx, spec, campaign.Options{
-		Runner:     inject.WrapRunner(pureRunner, inject.Chaos(7)),
-		Checkpoint: &cp,
+		Runner:  inject.WrapRunner(pureRunner, inject.Chaos(7)),
+		Records: v1Stream{&cp},
 		Progress: func(done, total int, rec campaign.Record) {
 			if !rec.Failed() {
 				if completions++; completions == 5 {
@@ -258,3 +259,10 @@ func TestChaosFaultyRunResumesBitIdentical(t *testing.T) {
 		t.Fatalf("interrupted+resumed chaos summary differs from fault-free run:\nref: %s\ngot: %s", refSum, got)
 	}
 }
+
+// v1Stream adapts a plain writer to the engine's record sink by
+// writing the legacy v1 JSONL stream, which ReadCheckpoint still
+// loads.
+type v1Stream struct{ w io.Writer }
+
+func (s v1Stream) WriteRecord(rec campaign.Record) error { return campaign.WriteRecord(s.w, rec) }

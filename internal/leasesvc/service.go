@@ -1,8 +1,7 @@
-// Package leasesvc implements the shard lease service: the
-// cross-machine replacement for the local flock leases of
-// internal/shard. A fleet coordinator and its workers may live on
-// different hosts, where no kernel can revoke a dead worker's lock —
-// so ownership becomes a leased, fenced agreement instead:
+// Package leasesvc implements the shard lease service: the one
+// ownership mechanism for internal/shard's shards. A coordinator and
+// its workers may live on different hosts, where no kernel can revoke
+// a dead worker's lock — so ownership is a leased, fenced agreement:
 //
 //   - Acquire grants a shard lease keyed by (campaign identity hash,
 //     shard, of) and mints a monotonically increasing fencing token.
@@ -22,7 +21,8 @@
 // lives in the per-shard v2 checkpoints plus their fence files; if
 // the service restarts, workers fail their heartbeats, self-fence,
 // and the coordinator reassigns from the checkpoints on disk exactly
-// as if the workers had died.
+// as if the workers had died (RaiseTokenFloor keeps the restarted
+// service's tokens above the fence files).
 package leasesvc
 
 import (
@@ -344,6 +344,57 @@ func (s *Service) Release(_ context.Context, key Key, token uint64) error {
 		st.lastAdvance = s.now().Add(-st.ttl - time.Second)
 	}
 	return nil
+}
+
+// RaiseTokenFloor lifts key's fencing-token sequence to at least
+// floor, so the next Acquire mints floor+1. Tokens live in memory and
+// restart at 1 with a fresh service, but the fence files on disk keep
+// their high-water mark: a colocated coordinator seeds the floor from
+// each shard's fence file before placing anything, or a shard that was
+// ever handed over would refuse every successor's (lower) token. The
+// lease is left unheld; a floor at or below the current token is a
+// no-op.
+func (s *Service) RaiseTokenFloor(key Key, floor uint64) error {
+	if err := key.Validate(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.leases[key]
+	if st == nil {
+		st = &state{}
+		s.leases[key] = st
+	}
+	if floor > st.token {
+		st.token = floor
+	}
+	return nil
+}
+
+// EvictWorker forgets a worker whose process is known to be dead: its
+// registration ends and every lease it holds (by owner label) is
+// released under the current token, exactly as if it had called
+// DeregisterWorker and Release itself. A spawner calls it the moment
+// the worker's Wait returns, so the scheduler reassigns the worker's
+// shards on its next tick instead of waiting out a TTL. Never call it
+// for a worker that may still be running: a released lease lets a
+// successor acquire while the evicted holder could still write —
+// only the fence file would then stand between them.
+func (s *Service) EvictWorker(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gone := s.now().Add(-time.Second)
+	if w := s.workers[id]; w != nil && w.registered {
+		w.registered = false
+		w.assignments = nil
+		w.lastAdvance = gone.Add(-w.ttl)
+	}
+	for _, st := range s.leases {
+		if st.held && st.owner == id {
+			st.held = false
+			st.lastAdvance = gone.Add(-st.ttl)
+		}
+	}
 }
 
 // View reports the lease's observable state; ok is false when the

@@ -290,3 +290,31 @@ func TestAcquireResetsStaleProgress(t *testing.T) {
 		t.Fatalf("handover lost progress: %+v, want 4/9", v)
 	}
 }
+
+// TestRaiseTokenFloor: a floor lifts the key's token sequence without
+// granting the lease, and a floor at or below the current token is a
+// no-op — tokens never move backwards.
+func TestRaiseTokenFloor(t *testing.T) {
+	ctx := context.Background()
+	s := NewService(time.Second)
+	k := testKey()
+	if err := s.RaiseTokenFloor(k, 5); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := s.View(ctx, k); !ok || v.Held || v.Token != 5 {
+		t.Fatalf("after floor 5: %+v ok=%v, want unheld token 5", v, ok)
+	}
+	g, err := s.Acquire(ctx, k, "w", 0)
+	if err != nil || g.Token != 6 {
+		t.Fatalf("acquire above floor = %+v, %v; want token 6", g, err)
+	}
+	if err := s.RaiseTokenFloor(k, 2); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := s.View(ctx, k); !v.Held || v.Token != 6 {
+		t.Fatalf("a lower floor disturbed the lease: %+v", v)
+	}
+	if err := s.RaiseTokenFloor(Key{}, 1); err == nil {
+		t.Fatal("invalid key accepted")
+	}
+}

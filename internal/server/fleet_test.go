@@ -3,9 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -13,42 +10,13 @@ import (
 	"rowhammer/internal/shard"
 )
 
-// fleetWorkerRun builds the Run func a fleet worker uses — the exact
-// steps `rhfleet -worker` performs per placement: load the persisted
-// wire spec from the placement's shard directory, resolve it, check
-// the campaign identity, and run the shard under the fenced lease.
+// fleetWorkerRun builds the Run func a fleet worker uses — the
+// placement runner `rhfleet -worker` runs, with a fast heartbeat.
 func fleetWorkerRun(fleet *leasesvc.Service, ttl time.Duration) func(context.Context, leasesvc.Placement, <-chan struct{}) error {
 	return func(ctx context.Context, p leasesvc.Placement, drain <-chan struct{}) error {
-		b, err := os.ReadFile(shard.SpecPath(p.Dir))
-		if err != nil {
-			return err
-		}
-		var ws Spec
-		if err := json.Unmarshal(b, &ws); err != nil {
-			return err
-		}
-		raw, err := ws.CampaignSpec()
-		if err != nil {
-			return err
-		}
-		rsv, err := Resolve(raw)
-		if err != nil {
-			return err
-		}
-		if got := rsv.Spec.IdentityHash(); got != p.Campaign {
-			return fmt.Errorf("placement names campaign %s, spec resolves to %s", p.Campaign, got)
-		}
-		_, err = shard.RunShard(ctx, shard.RunConfig{
-			Dir:        p.Dir,
-			Assignment: shard.Assignment{Index: p.Shard, Of: p.Of},
-			Spec:       rsv.Spec,
-			Runner:     rsv.Runner,
-			Drain:      drain,
-			BeatEvery:  25 * time.Millisecond,
-			Lease:      fleet,
-			LeaseTTL:   ttl,
-		})
-		return err
+		return RunPlacement(ctx, p, drain, shard.RunConfig{
+			BeatEvery: 25 * time.Millisecond, Lease: fleet, LeaseTTL: ttl,
+		}, nil)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/durable"
@@ -94,10 +95,12 @@ type ManagerConfig struct {
 	// campaigns are fanned out across workers registered with its
 	// worker registry (rhfleet -worker processes pulling placements)
 	// whenever at least one is alive at start; with no fleet — or an
-	// empty one — shards run in-process, the degenerate case of the
-	// same coordinator. A fleet that vanishes mid-campaign is bounded
-	// the same way: once every worker has been gone past the
-	// scheduler's patience, the remaining shards finish in-process.
+	// empty one — shards run on in-process workers registered with the
+	// same service, the degenerate case of the same placement. A fleet
+	// that vanishes mid-campaign is bounded the same way: once every
+	// worker has been gone past the scheduler's patience, the
+	// remaining shards finish in-process. When nil, the manager keeps
+	// a private service for its in-process workers.
 	Fleet *leasesvc.Service
 	// Log, when non-nil, receives one-line progress messages.
 	Log func(format string, args ...any)
@@ -108,6 +111,11 @@ type ManagerConfig struct {
 type Manager struct {
 	store *store.Store
 	cfg   ManagerConfig
+	// leases is cfg.Fleet, or the manager's private service when nil:
+	// every shard lease and worker registration lives in exactly one
+	// service, since two would mint colliding fencing tokens against
+	// one fence file.
+	leases *leasesvc.Service
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -137,10 +145,14 @@ func NewManager(st *store.Store, cfg ManagerConfig) (*Manager, error) {
 	m := &Manager{
 		store:   st,
 		cfg:     cfg,
+		leases:  cfg.Fleet,
 		ctx:     ctx,
 		cancel:  cancel,
 		runs:    make(map[string]*runState),
 		drainCh: make(chan struct{}),
+	}
+	if m.leases == nil {
+		m.leases = leasesvc.NewService(inprocTTL)
 	}
 	if err := m.recover(); err != nil {
 		cancel()
@@ -506,130 +518,21 @@ func (m *Manager) finish(r *runState, res *campaign.Result) error {
 	return nil
 }
 
-// inprocWorker adapts a RunShard goroutine to the coordinator's
-// WorkerHandle: Kill cancels the worker's context, Drain stops its
-// dispatch gracefully, and Wait does not return until RunShard has
-// released the shard lease.
-type inprocWorker struct {
-	cancel    context.CancelFunc
-	drainOnce sync.Once
-	drain     chan struct{}
-	done      chan struct{}
-	err       error
-}
+// inprocTTL is the lease TTL of the private service a manager without
+// a Fleet keeps for its in-process workers: they share the daemon's
+// address space, so a short TTL costs nothing in false lapses.
+const inprocTTL = time.Second
 
-func (w *inprocWorker) Wait() error { <-w.done; return w.err }
-func (w *inprocWorker) Kill()       { w.cancel() }
-func (w *inprocWorker) Drain()      { w.drainOnce.Do(func() { close(w.drain) }) }
-
-// executeSharded fans one campaign across n in-process shard workers
-// under the shard coordinator: each worker runs its slice of the grid
-// with its own checkpoint and lease in <campaign>/shards, the
-// campaign's worker budget is divided among the shards, and the
-// merged result ingests byte-identical to an unsharded run. The same
-// directory and file formats as `rhfleet -coordinate` means the two
-// supervision paths share one on-disk truth and one merge.
+// executeSharded fans one campaign out across n shards under the
+// shard coordinator. The wire spec is persisted into the shard
+// directory for workers to resolve, and shards are placed onto the
+// fleet's registered workers when any are alive — otherwise onto
+// in-process workers started for this campaign, against the same
+// lease service. A fleet that vanishes mid-campaign surfaces as
+// ErrNoWorkers, and the remaining shards then finish in-process. The
+// merged result ingests byte-identical to an unsharded run, and the
+// directory and file formats are those of `rhfleet -coordinate`.
 func (m *Manager) executeSharded(r *runState, n int) error {
-	if live := m.liveFleetWorkers(); live > 0 {
-		m.cfg.Log("campaign %s: fanning %d shard(s) out across %d registered fleet worker(s)", r.id, n, live)
-		err := m.executeFleet(r, n)
-		if !errors.Is(err, shard.ErrNoWorkers) {
-			return err
-		}
-		// The whole fleet vanished mid-campaign. The shard checkpoints
-		// on disk are the truth either way, so finish the remaining
-		// jobs in-process — the degenerate case this campaign would
-		// have started as had the fleet been empty at submit.
-		m.cfg.Log("campaign %s: fleet vanished (%v); finishing remaining shards in-process", r.id, err)
-	}
-	cs := r.resolved.Spec
-	dir := filepath.Join(r.dir, "shards")
-
-	// Divide the campaign's worker budget among shards; identity is
-	// unaffected (Workers is a scheduling knob).
-	shardSpec := cs
-	if per := cs.Workers / n; per > 0 {
-		shardSpec.Workers = per
-	} else {
-		shardSpec.Workers = 1
-	}
-
-	// Campaign-wide progress: shards report concurrently and respawns
-	// re-report resumed jobs, so counts are by unique job key.
-	var progMu sync.Mutex
-	seen := make(map[string]bool)
-	failed := make(map[string]bool)
-	progress := func(_, _ int, rec campaign.Record) {
-		progMu.Lock()
-		seen[rec.Key] = true
-		if rec.Failed() {
-			failed[rec.Key] = true
-		} else {
-			delete(failed, rec.Key)
-		}
-		jobsDone, jobsFailed := len(seen), len(failed)
-		progMu.Unlock()
-		r.update(func(s *Status) { s.Done, s.Failed = jobsDone, jobsFailed })
-	}
-
-	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
-		wctx, cancel := context.WithCancel(ctx)
-		w := &inprocWorker{cancel: cancel, drain: make(chan struct{}), done: make(chan struct{})}
-		go func() {
-			defer close(w.done)
-			defer cancel()
-			_, w.err = shard.RunShard(wctx, shard.RunConfig{
-				Dir:        dir,
-				Assignment: a,
-				Spec:       shardSpec,
-				Runner:     r.resolved.Runner,
-				Drain:      w.drain,
-				Progress:   progress,
-			})
-		}()
-		return w, nil
-	}
-
-	r.update(func(s *Status) { s.State = StateRunning })
-	res, rep, err := shard.Coordinate(m.ctx, shard.Config{
-		Dir:    dir,
-		Spec:   cs,
-		Shards: n,
-		Spawn:  spawn,
-		Drain:  m.drainCh,
-		Log:    func(f string, args ...any) { m.cfg.Log("campaign "+r.id+": "+f, args...) },
-	})
-	if err != nil {
-		return err
-	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("campaign %s: %d of %d jobs failed", r.id, rep.Failed, res.Total)
-	}
-	return m.finish(r, res)
-}
-
-// liveFleetWorkers counts alive registrations in the fleet registry.
-func (m *Manager) liveFleetWorkers() int {
-	if m.cfg.Fleet == nil {
-		return 0
-	}
-	n := 0
-	for _, w := range m.cfg.Fleet.Workers() {
-		if w.Alive {
-			n++
-		}
-	}
-	return n
-}
-
-// executeFleet fans one sharded campaign out across the fleet: the
-// wire spec is persisted into the shard directory for workers to
-// resolve, and the coordinator places shards onto registered workers
-// instead of spawning anything. Supervision, stall handling,
-// reassignment bounds and the byte-identical merge are the same code
-// path executeSharded's in-process fan-out uses — that is the point.
-func (m *Manager) executeFleet(r *runState, n int) error {
-	cs := r.resolved.Spec
 	dir, err := filepath.Abs(filepath.Join(r.dir, "shards"))
 	if err != nil {
 		return err
@@ -656,18 +559,22 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 	}
 
 	r.update(func(s *Status) { s.State = StateRunning })
-	res, rep, err := shard.Coordinate(m.ctx, shard.Config{
-		Dir:      dir,
-		Spec:     cs,
-		Shards:   n,
-		Fleet:    m.cfg.Fleet,
-		LeaseTTL: m.cfg.Fleet.DefaultLeaseTTL(),
-		Drain:    m.drainCh,
-		Progress: func(done, total int) {
-			r.update(func(s *Status) { s.Done, s.Total = done, total })
-		},
-		Log: func(f string, args ...any) { m.cfg.Log("campaign "+r.id+": "+f, args...) },
-	})
+	var res *campaign.Result
+	var rep *shard.MergeReport
+	if live := m.liveFleetWorkers(r.resolved.Spec.IdentityHash()); live > 0 {
+		m.cfg.Log("campaign %s: fanning %d shard(s) out across %d registered fleet worker(s)", r.id, n, live)
+		res, rep, err = m.coordinate(r, dir, n)
+		if errors.Is(err, shard.ErrNoWorkers) {
+			// The whole fleet vanished mid-campaign. The shard
+			// checkpoints on disk are the truth either way, so finish
+			// the remaining jobs in-process — the degenerate case this
+			// campaign would have started as had the fleet been empty.
+			m.cfg.Log("campaign %s: fleet vanished (%v); finishing remaining shards in-process", r.id, err)
+			res, rep, err = m.coordinateInProcess(r, dir, n)
+		}
+	} else {
+		res, rep, err = m.coordinateInProcess(r, dir, n)
+	}
 	if err != nil {
 		return err
 	}
@@ -675,6 +582,69 @@ func (m *Manager) executeFleet(r *runState, n int) error {
 		return fmt.Errorf("campaign %s: %d of %d jobs failed", r.id, rep.Failed, res.Total)
 	}
 	return m.finish(r, res)
+}
+
+// coordinateInProcess runs the campaign's shards on n in-process
+// workers registered with the manager's lease service — one slot each,
+// so every shard runs concurrently — and stops them when the campaign
+// returns. They execute exactly what `rhfleet -worker` executes
+// (RunPlacement), and they are scoped to this campaign
+// (shard.CampaignOwner): no other campaign's scheduler places onto
+// them.
+func (m *Manager) coordinateInProcess(r *runState, dir string, n int) (*campaign.Result, *shard.MergeReport, error) {
+	ttl := m.leases.DefaultLeaseTTL()
+	owner := shard.CampaignOwner(r.resolved.Spec.IdentityHash())
+	ctx, cancel := context.WithCancel(m.ctx)
+	defer cancel()
+	drain := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(drain)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("rhserved-inproc/%s/%d", r.id, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shard.RunWorker(ctx, shard.WorkerConfig{
+				Registry: m.leases, ID: id, Owner: owner, Slots: 1, TTL: ttl, Drain: drain,
+				Run: func(ctx context.Context, p leasesvc.Placement, pdrain <-chan struct{}) error {
+					return RunPlacement(ctx, p, pdrain, shard.RunConfig{
+						Lease: m.leases, LeaseTTL: ttl, Owner: id, BeatEvery: ttl / 4,
+					}, nil)
+				},
+			})
+		}()
+	}
+	return m.coordinate(r, dir, n)
+}
+
+// coordinate places the campaign's n shards through the manager's
+// lease service.
+func (m *Manager) coordinate(r *runState, dir string, n int) (*campaign.Result, *shard.MergeReport, error) {
+	return shard.Coordinate(m.ctx, shard.Config{
+		Dir:      dir,
+		Spec:     r.resolved.Spec,
+		Shards:   n,
+		Fleet:    m.leases,
+		LeaseTTL: m.leases.DefaultLeaseTTL(),
+		Drain:    m.drainCh,
+		Progress: func(done, total int) {
+			r.update(func(s *Status) { s.Done, s.Total = done, total })
+		},
+		Log: func(f string, args ...any) { m.cfg.Log("campaign "+r.id+": "+f, args...) },
+	})
+}
+
+// liveFleetWorkers counts the alive registrations that would take the
+// campaign's shards — other campaigns' in-process workers excluded.
+func (m *Manager) liveFleetWorkers(hash string) int {
+	n := 0
+	for _, w := range m.leases.Workers() {
+		if w.Alive && shard.Serves(w.Owner, hash) {
+			n++
+		}
+	}
+	return n
 }
 
 // ingest publishes the campaign's deliverable into the store:

@@ -12,30 +12,10 @@ import (
 	"rowhammer/internal/leasesvc"
 )
 
-// WorkerHandle is a running shard worker as the coordinator sees it —
-// an exec'd rhfleet subprocess or an in-process goroutine; the
-// coordinator does not care which.
-type WorkerHandle interface {
-	// Wait blocks until the worker has fully stopped. For in-process
-	// workers this must not return before the shard lease is
-	// released, or the respawned successor will find the lease held.
-	// Wait returns nil only when the worker finished its shard
-	// cleanly; any other outcome (crash, drain, failed jobs) is a
-	// non-nil error, and the coordinator re-reads the checkpoint to
-	// decide what remains.
-	Wait() error
-	// Kill stops the worker immediately (SIGKILL or context cancel).
-	Kill()
-}
-
-// DrainableWorker is optionally implemented by handles that can be
-// asked to stop gracefully: finish in-flight jobs, checkpoint, exit.
-type DrainableWorker interface{ Drain() }
-
-// SpawnFunc starts a worker for one shard. gen is 0 for the first
-// spawn and increments on every reassignment of that shard — the seam
-// crash drills use to arm a failpoint on one generation only.
-type SpawnFunc func(ctx context.Context, a Assignment, gen int) (WorkerHandle, error)
+// maxTick caps the scheduler tick and the workers' registry heartbeat
+// — the two polls placement latency is made of — so a long lease TTL
+// slows failure detection, never the handoff of work.
+const maxTick = 500 * time.Millisecond
 
 // Config configures a Coordinate run.
 type Config struct {
@@ -45,58 +25,40 @@ type Config struct {
 	Spec campaign.Spec
 	// Shards is the partition width N (>= 1).
 	Shards int
-	// Spawn starts one shard worker — local placement, where the
-	// coordinator owns the worker processes. Exactly one of Spawn and
-	// Fleet must be set.
-	Spawn SpawnFunc
-	// Fleet selects fleet placement: instead of spawning anything, the
-	// coordinator schedules shards onto workers registered with this
-	// lease service's worker registry (rhfleet -worker processes
-	// pulling assignments over /v1/workers/beat), watches their shard
-	// leases for liveness and throughput, and rebalances queued shards
-	// off slow workers. Supervision — stall kill, reassignment bounded
-	// by MaxRespawns, completion judged from checkpoints on disk — is
-	// the exact code path local placement uses.
+	// Fleet is the lease service the campaign is placed through
+	// (required). The coordinator schedules shards onto workers
+	// registered with its worker registry (rhfleet -worker processes,
+	// or in-process RunWorker loops), watches their shard leases for
+	// liveness and throughput, and rebalances queued shards off slow
+	// workers. Local coordination is the degenerate case: the
+	// coordinator hosts the service and spawns the workers itself.
 	Fleet *leasesvc.Service
-	// Registry, in local (Spawn) mode, mirrors each spawned worker
-	// into this service's worker registry, so GET /v1/workers reports
-	// local workers the same way it reports a real fleet — local
-	// coordination as the degenerate case of placement. Observational
-	// only: correctness still rests on shard leases. Ignored in fleet
-	// mode, where workers register themselves.
-	Registry *leasesvc.Service
 	// LeaseTTL is how long a held lease may go without a heartbeat
-	// before the worker is declared stalled and killed. Default 15s.
+	// before the worker is declared stalled and its shard withdrawn.
+	// Default 15s.
 	LeaseTTL time.Duration
-	// Poll is the lease-probe interval. Default LeaseTTL/4.
+	// Poll is the scheduler tick. Default LeaseTTL/4, at most 500ms.
 	Poll time.Duration
 	// MaxRespawns bounds reassignments per shard; exceeding it aborts
-	// the campaign rather than respawning a crash-looping worker
+	// the campaign rather than reassigning a crash-looping shard
 	// forever. Default 3.
 	MaxRespawns int
-	// Probe, when non-nil, replaces the local flock probe — a
-	// remote-lease coordinator supervises its workers through the
-	// lease service (ServiceProbe) instead of the filesystem. The
-	// stall judgment on top is identical either way: heartbeat Seq
-	// monotonicity on the coordinator's clock (StallTracker), with
-	// wall-clock age only as the no-heartbeat fallback. Fleet mode
-	// defaults this to ServiceProbe over Fleet.
-	Probe func(a Assignment) (Probe, error)
 	// Progress, when non-nil, receives campaign-wide done/total as
-	// observed through the shard leases (fleet mode only; done is
-	// monotone because lease progress survives fencing handovers).
+	// observed through the shard leases (done is monotone because
+	// lease progress survives fencing handovers).
 	Progress func(done, total int)
 	// Drain, when delivered or closed, stops the run gracefully:
-	// workers are asked to drain, nothing is respawned, and Coordinate
-	// returns campaign.ErrDrained if the grid is incomplete.
+	// placements are withdrawn (their workers drain them), nothing is
+	// reassigned, and Coordinate returns campaign.ErrDrained if the
+	// grid is incomplete.
 	Drain <-chan struct{}
 	// Log, when non-nil, receives one-line progress messages.
 	Log func(format string, args ...any)
 }
 
 // exitEvent is one shard attempt's termination as seen by the event
-// loop — a local worker process exiting, or (fleet mode) the shard's
-// lease lapsing after having been held.
+// loop — the shard's lease lapsing after having been held, or the
+// scheduler giving up on a placement.
 type exitEvent struct {
 	idx int
 	gen int
@@ -104,12 +66,11 @@ type exitEvent struct {
 }
 
 // Coordinate supervises an N-way sharded campaign run to completion:
-// start an attempt per incomplete shard (spawn a worker locally, or
-// place the shard onto a registered fleet worker), probe leases to
-// catch dead and stalled workers, reassign a dead shard's remaining
-// jobs to a fresh attempt (bounded by MaxRespawns), and finally merge
-// the shard checkpoints into one result byte-identical to a
-// single-process run.
+// place an attempt per incomplete shard onto a registered fleet
+// worker, probe leases to catch dead and stalled workers, reassign a
+// dead shard's remaining jobs to a fresh attempt (bounded by
+// MaxRespawns), and finally merge the shard checkpoints into one
+// result byte-identical to a single-process run.
 //
 // A shard counts as complete when every job it owns has a checkpoint
 // record — failed records included, matching single-process semantics
@@ -125,11 +86,8 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	if cfg.Shards < 1 {
 		return nil, nil, fmt.Errorf("shard: Config.Shards must be >= 1, got %d", cfg.Shards)
 	}
-	if cfg.Spawn == nil && cfg.Fleet == nil {
-		return nil, nil, fmt.Errorf("shard: Config.Spawn is required")
-	}
-	if cfg.Spawn != nil && cfg.Fleet != nil {
-		return nil, nil, fmt.Errorf("shard: Config.Spawn and Config.Fleet are mutually exclusive")
+	if cfg.Fleet == nil {
+		return nil, nil, fmt.Errorf("shard: Config.Fleet is required")
 	}
 	logf := cfg.Log
 	if logf == nil {
@@ -141,7 +99,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	}
 	poll := cfg.Poll
 	if poll <= 0 {
-		poll = ttl / 4
+		poll = min(ttl/4, maxTick)
 	}
 	maxRespawns := cfg.MaxRespawns
 	if maxRespawns <= 0 {
@@ -156,47 +114,35 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	}
 	defer coordLock.Release()
 
-	probe := cfg.Probe
-	if probe == nil {
-		if cfg.Fleet != nil {
-			probe = ServiceProbe(cfg.Fleet, spec.IdentityHash())
-		} else {
-			probe = func(a Assignment) (Probe, error) {
-				return ProbeLease(LeasePath(cfg.Dir, a))
-			}
-		}
-	}
+	hash := spec.IdentityHash()
+	probe := ServiceProbe(cfg.Fleet, hash)
 	stalls := &StallTracker{}
 	parts := Partition(cfg.Shards)
-
-	// The executor is the only thing that differs between local and
-	// fleet placement; everything below it — the supervision loop, the
-	// stall judgment, reassignment bounds, disk-is-truth completion —
-	// is shared.
-	var exec executor
-	if cfg.Fleet != nil {
-		exec = newFleetExecutor(cfg.Fleet, cfg.Dir, spec, parts, ttl, logf, cfg.Progress)
-	} else {
-		exec = newLocalExecutor(cfg.Spawn, cfg.Registry, cfg.Dir, spec.IdentityHash(), ttl, logf, len(parts))
-	}
+	exec := newFleetExecutor(cfg.Fleet, cfg.Dir, spec, parts, ttl, logf, cfg.Progress)
 	defer exec.Close()
 
 	active := make(map[int]int, cfg.Shards) // shard index → current generation
 	gens := make(map[int]int, cfg.Shards)
 	done := make(map[int]bool, cfg.Shards)
 
-	start := func(a Assignment) error {
-		gen := gens[a.Index]
-		if err := exec.Start(ctx, a, gen); err != nil {
-			return fmt.Errorf("shard %s: spawn: %w", a, err)
-		}
-		active[a.Index] = gen
-		return nil
+	start := func(a Assignment) {
+		exec.Start(a, gens[a.Index])
+		active[a.Index] = gens[a.Index]
 	}
 
 	// Judge every shard from disk before starting anything: a restarted
-	// coordinator skips shards whose checkpoints are already complete.
+	// coordinator skips shards whose checkpoints are already complete,
+	// and the service's token sequences are lifted above each shard's
+	// fence file — a fresh service mints from 1, and a shard handed
+	// over before the restart would refuse every lower token forever.
 	for _, a := range parts {
+		fence, err := ReadFence(FencePath(cfg.Dir, a))
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := cfg.Fleet.RaiseTokenFloor(leasesvc.Key{Campaign: hash, Shard: a.Index, Of: a.Of}, fence); err != nil {
+			return nil, nil, err
+		}
 		missing, haveCkpt, err := shardMissing(spec, a, CheckpointPath(cfg.Dir, a))
 		if err != nil {
 			return nil, nil, err
@@ -208,9 +154,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 		if haveCkpt {
 			logf("shard %s: resuming, %d job(s) remaining", a, len(missing))
 		}
-		if err := start(a); err != nil {
-			return nil, nil, err
-		}
+		start(a)
 	}
 
 	draining := false
@@ -234,16 +178,14 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 		case <-cfg.Drain:
 			startDrain()
 		case <-ticker.C:
-			// Let the executor observe the world first: fleet placement
-			// watches leases and worker registrations here (and may
-			// synthesize exit events); local placement heartbeats its
-			// registry mirror.
+			// Let the scheduler observe the world first: it watches
+			// leases and worker registrations (and may synthesize exit
+			// events).
 			exec.Tick()
-			// A dead worker surfaces through its exit event; the probe
-			// exists for stragglers — alive (lease held) but silent.
-			// Staleness is judged by Seq monotonicity on our own
-			// clock, so a clock-skewed host with an advancing Seq is
-			// never mistaken for a stall.
+			// A dead worker surfaces as a lapsed lease; the probe exists
+			// for stragglers — held but silent. Staleness is judged by
+			// Seq monotonicity on our own clock, so a clock-skewed host
+			// with an advancing Seq is never mistaken for a stall.
 			for idx := range active {
 				a := parts[idx]
 				p, err := probe(a)
@@ -251,8 +193,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 					continue
 				}
 				if stalls.Stalled(idx, p, ttl) {
-					logf("shard %s: stalled (heartbeat seq %d frozen for > %s, pid %d); killing",
-						a, p.Info.Seq, ttl, p.Info.PID)
+					logf("shard %s: stalled (heartbeat seq %d frozen for > %s); withdrawing", a, p.Seq, ttl)
 					exec.Kill(a)
 				}
 			}
@@ -283,7 +224,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 			gens[ev.idx]++
 			if gens[ev.idx] > maxRespawns {
 				// Wrap the last attempt's error so callers can react to
-				// the cause — rhserved falls back to in-process shards
+				// the cause — rhserved falls back to in-process workers
 				// when it is ErrNoWorkers.
 				return nil, nil, fmt.Errorf(
 					"shard %s: gave up after %d reassignment(s); %d job(s) still missing (last worker: %w)",
@@ -291,13 +232,19 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 			}
 			logf("shard %s: worker gen %d died with %d job(s) remaining (%v); reassigning to gen %d",
 				a, ev.gen, len(missing), ev.err, gens[ev.idx])
-			if err := start(a); err != nil {
-				return nil, nil, err
-			}
+			start(a)
 		}
 	}
 
-	res, rep, err := MergeShards(spec, CheckpointPaths(cfg.Dir, cfg.Shards))
+	// A shard drained before any worker started it has no checkpoint;
+	// the merge counts its jobs as missing.
+	var paths []string
+	for _, p := range CheckpointPaths(cfg.Dir, cfg.Shards) {
+		if _, err := os.Stat(p); err == nil {
+			paths = append(paths, p)
+		}
+	}
+	res, rep, err := MergeShards(spec, paths)
 	if err != nil {
 		return nil, nil, err
 	}

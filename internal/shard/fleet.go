@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"rowhammer/internal/campaign"
@@ -13,8 +14,7 @@ import (
 
 // errLeaseLapsed marks a fleet attempt whose shard lease, once held,
 // went unheld: the worker finished, drained, or died — the supervision
-// loop re-reads the checkpoint to find out which, exactly as it does
-// for a local worker's exit code.
+// loop re-reads the checkpoint to find out which.
 var errLeaseLapsed = errors.New("shard lease lapsed or was released")
 
 // ErrNoWorkers reports a fleet placement that waited out the
@@ -109,10 +109,13 @@ func (e *fleetExecutor) placement(a Assignment) leasesvc.Placement {
 // a predecessor's lease to age out would be judged wedged.
 func (e *fleetExecutor) startPatience() time.Duration { return 6 * e.ttl }
 
-func (e *fleetExecutor) Start(ctx context.Context, a Assignment, gen int) error {
+// Start launches generation gen of shard a. Exactly one attempt per
+// shard is in flight at a time; the supervision loop never Starts a
+// shard again before consuming its previous attempt's exit event.
+func (e *fleetExecutor) Start(a Assignment, gen int) {
 	at := &fleetAttempt{a: a, gen: gen}
 	done := 0
-	if v, ok, err := e.svc.View(ctx, e.placement(a).LeaseKey()); err == nil && ok {
+	if v, ok, err := e.svc.View(context.Background(), e.placement(a).LeaseKey()); err == nil && ok {
 		at.baseTok = v.Token
 		done = v.Done
 	}
@@ -122,9 +125,11 @@ func (e *fleetExecutor) Start(ctx context.Context, a Assignment, gen int) error 
 	e.rates.observe("", a.Index, done, e.now())
 	e.attempts[a.Index] = at
 	e.place(at, e.aliveWorkers())
-	return nil
 }
 
+// Kill withdraws shard a's placement and retires the attempt at once;
+// the fence file makes the handover safe whether or not the worker
+// ever hears about it.
 func (e *fleetExecutor) Kill(a Assignment) {
 	at := e.attempts[a.Index]
 	if at == nil {
@@ -136,6 +141,9 @@ func (e *fleetExecutor) Kill(a Assignment) {
 	e.finish(at, errors.New("placement withdrawn by coordinator"))
 }
 
+// Drain asks shard a's attempt to stop gracefully — the worker drains
+// the withdrawn placement, checkpoints and releases the lease — which
+// eventually surfaces on Events.
 func (e *fleetExecutor) Drain(a Assignment) {
 	at := e.attempts[a.Index]
 	if at == nil || at.draining {
@@ -154,8 +162,11 @@ func (e *fleetExecutor) Drain(a Assignment) {
 	// attempt through the normal lapse path.
 }
 
+// Events delivers attempt terminations, at most one outstanding per
+// shard.
 func (e *fleetExecutor) Events() <-chan exitEvent { return e.events }
 
+// Close withdraws every placement still tracked.
 func (e *fleetExecutor) Close() {
 	for _, at := range e.attempts {
 		if at.worker != "" {
@@ -176,14 +187,35 @@ func (e *fleetExecutor) finish(at *fleetAttempt, err error) {
 	e.events <- exitEvent{idx: at.a.Index, gen: at.gen, err: err}
 }
 
+// aliveWorkers lists the live registrations this campaign may place
+// onto.
 func (e *fleetExecutor) aliveWorkers() map[string]leasesvc.WorkerView {
 	out := map[string]leasesvc.WorkerView{}
 	for _, w := range e.svc.Workers() {
-		if w.Alive {
+		if w.Alive && Serves(w.Owner, e.hash) {
 			out[w.ID] = w
 		}
 	}
 	return out
+}
+
+// campaignOwner prefixes the registration owner of a worker scoped to
+// one campaign.
+const campaignOwner = "campaign "
+
+// CampaignOwner is the registration owner label of a worker that runs
+// only the campaign with identity hash: no other campaign's scheduler
+// places onto it. rhserved's in-process workers register under it, so
+// one campaign's workers are never used — and then drained away — by
+// another.
+func CampaignOwner(hash string) string { return campaignOwner + hash }
+
+// Serves reports whether a worker registered under owner takes the
+// shards of the campaign with identity hash: every shared fleet
+// worker does, a campaign-scoped one only for its own campaign.
+func Serves(owner, hash string) bool {
+	scope, scoped := strings.CutPrefix(owner, campaignOwner)
+	return !scoped || scope == hash
 }
 
 // Tick is the whole scheduler: observe every attempt's lease, retire
@@ -302,6 +334,9 @@ func (e *fleetExecutor) Tick() {
 		}
 	}
 
+	// Placements made above are not in the snapshot; re-read it so
+	// reconcile does not "re-assert" what it just assigned.
+	workers = e.aliveWorkers()
 	e.reconcile(workers)
 	e.rebalance(workers)
 }

@@ -41,12 +41,34 @@ func newFleetHarness(t *testing.T, dir string, spec campaign.Spec, ttl time.Dura
 	}
 }
 
-// startWorker launches worker id. runner may be nil for pureRunner;
-// onRecord, when non-nil, observes every finished job.
+// startWorker launches worker id running RunShard on each placement.
+// runner may be nil for pureRunner; onRecord, when non-nil, observes
+// every finished job.
 func (h *fleetHarness) startWorker(id string, runner campaign.Runner, onRecord func(p leasesvc.Placement)) {
 	if runner == nil {
 		runner = pureRunner
 	}
+	h.startRun(id, func(ctx context.Context, p leasesvc.Placement, pdrain <-chan struct{}) error {
+		_, err := shard.RunShard(ctx, shard.RunConfig{
+			Dir:        p.Dir,
+			Assignment: shard.Assignment{Index: p.Shard, Of: p.Of},
+			Spec:       h.spec, Runner: runner,
+			Drain: pdrain, BeatEvery: 20 * time.Millisecond,
+			Lease: h.svc, LeaseTTL: h.ttl,
+			Owner: id,
+			Progress: func(_, _ int, _ campaign.Record) {
+				if onRecord != nil {
+					onRecord(p)
+				}
+			},
+		})
+		return err
+	})
+}
+
+// startRun launches worker id with a custom placement runner and
+// waits for its registration.
+func (h *fleetHarness) startRun(id string, run func(context.Context, leasesvc.Placement, <-chan struct{}) error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	drain := make(chan struct{})
 	done := make(chan error, 1)
@@ -60,22 +82,7 @@ func (h *fleetHarness) startWorker(id string, runner campaign.Runner, onRecord f
 			Registry: h.svc, ID: id, TTL: h.ttl,
 			Drain: drain,
 			Log:   h.t.Logf,
-			Run: func(ctx context.Context, p leasesvc.Placement, pdrain <-chan struct{}) error {
-				_, err := shard.RunShard(ctx, shard.RunConfig{
-					Dir:        p.Dir,
-					Assignment: shard.Assignment{Index: p.Shard, Of: p.Of},
-					Spec:       h.spec, Runner: runner,
-					Drain: pdrain, BeatEvery: 20 * time.Millisecond,
-					Lease: h.svc, LeaseTTL: h.ttl,
-					Owner: id,
-					Progress: func(_, _ int, _ campaign.Record) {
-						if onRecord != nil {
-							onRecord(p)
-						}
-					},
-				})
-				return err
-			},
+			Run:   run,
 		})
 	}()
 	h.waitRegistered(id)
@@ -275,42 +282,6 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	<-done
 }
 
-// TestLocalCoordinateMirrorsWorkersIntoRegistry: local coordination is
-// the degenerate case of placement — with a Registry configured, each
-// spawned worker appears in /v1/workers under a synthetic identity,
-// and is deregistered when it exits.
-func TestLocalCoordinateMirrorsWorkersIntoRegistry(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-	svc := leasesvc.NewService(time.Second)
-	_, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 3, Registry: svc,
-		LeaseTTL: time.Second, Poll: 20 * time.Millisecond,
-		Spawn: inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return pureRunner }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("incomplete: %v", rep.Missing)
-	}
-	ws := svc.Workers()
-	if len(ws) != 3 {
-		t.Fatalf("registry mirror holds %d workers, want 3: %+v", len(ws), ws)
-	}
-	for _, w := range ws {
-		if !strings.HasPrefix(w.ID, "local/shard-") {
-			t.Fatalf("mirror id = %q", w.ID)
-		}
-		if w.Alive {
-			t.Fatalf("worker %s still alive after its shard completed", w.ID)
-		}
-		if w.Token == 0 {
-			t.Fatalf("worker %s never registered", w.ID)
-		}
-	}
-}
-
 // TestFleetCoordinateNoWorkersBounded: a fleet campaign whose worker
 // set is empty must not wait forever — the scheduler gives up after
 // its patience with ErrNoWorkers (which rhserved turns into an
@@ -415,4 +386,55 @@ func TestFleetForeignBusySlotIsNotStarvation(t *testing.T) {
 	}
 	cancel()
 	<-workerDone
+}
+
+// TestFleetScopedWorkerServesOnlyItsCampaign: a worker registered
+// under another campaign's CampaignOwner is invisible to this
+// campaign's scheduler — with no other worker the placement waits out
+// its patience and fails with ErrNoWorkers — while a worker scoped to
+// this campaign runs it to completion.
+func TestFleetScopedWorkerServesOnlyItsCampaign(t *testing.T) {
+	spec := testSpec()
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttl := 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, tc := range []struct {
+		owner   string
+		wantErr error
+	}{
+		{shard.CampaignOwner("feedfacefeedface"), shard.ErrNoWorkers},
+		{shard.CampaignOwner(norm.IdentityHash()), nil},
+	} {
+		dir := t.TempDir()
+		h := newFleetHarness(t, dir, spec, ttl)
+		wctx, wcancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() {
+			done <- shard.RunWorker(wctx, shard.WorkerConfig{
+				Registry: h.svc, ID: "scoped", Owner: tc.owner, TTL: ttl, Log: t.Logf,
+				Run: func(ctx context.Context, p leasesvc.Placement, pdrain <-chan struct{}) error {
+					_, err := shard.RunShard(ctx, shard.RunConfig{
+						Dir: p.Dir, Assignment: shard.Assignment{Index: p.Shard, Of: p.Of},
+						Spec: spec, Runner: pureRunner, Drain: pdrain, BeatEvery: 20 * time.Millisecond,
+						Lease: h.svc, LeaseTTL: ttl, Owner: "scoped",
+					})
+					return err
+				},
+			})
+		}()
+		h.waitRegistered("scoped")
+		_, _, err := shard.Coordinate(ctx, shard.Config{
+			Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
+			Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond, Log: t.Logf,
+		})
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("worker owned by %q: coordinate = %v, want %v", tc.owner, err, tc.wantErr)
+		}
+		wcancel()
+		<-done
+	}
 }

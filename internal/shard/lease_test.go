@@ -1,154 +1,112 @@
 package shard_test
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
+	"context"
 	"testing"
 	"time"
 
-	"rowhammer/internal/durable"
+	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 )
 
+// The coordinator's view of a shard lease: ServiceProbe over the lease
+// service, judged by StallTracker.
+
 func TestLeaseAcquireProbeBeatRelease(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.lease")
-	l, err := shard.AcquireLease(path, shard.LeaseInfo{Shard: 1, Of: 4, Spec: "cafe", Total: 10})
+	ctx := context.Background()
+	svc := leasesvc.NewService(time.Hour)
+	probe := shard.ServiceProbe(svc, "cafe")
+	a := shard.Assignment{Index: 1, Of: 4}
+	key := leasesvc.Key{Campaign: "cafe", Shard: 1, Of: 4}
+	g, err := svc.Acquire(ctx, key, "w1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	p, err := shard.ProbeLease(path)
+	p, err := probe(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Held || !p.InfoOK {
-		t.Fatalf("live lease probes Held=%v InfoOK=%v", p.Held, p.InfoOK)
-	}
-	if p.Info.Shard != 1 || p.Info.Of != 4 || p.Info.Spec != "cafe" || p.Info.PID != os.Getpid() {
-		t.Fatalf("probe info = %+v", p.Info)
+	if !p.Held || p.Token != g.Token {
+		t.Fatalf("live lease probes Held=%v Token=%d, want true/%d", p.Held, p.Token, g.Token)
 	}
 
-	// A second acquire of a live lease must fail with ErrLocked.
-	if _, err := shard.AcquireLease(path, shard.LeaseInfo{Shard: 1, Of: 4}); !errors.Is(err, durable.ErrLocked) {
-		t.Fatalf("double acquire: want ErrLocked, got %v", err)
-	}
-
-	if err := l.Beat(7, 10); err != nil {
+	if err := svc.Beat(ctx, key, g.Token, leasesvc.Beat{Seq: 1, Done: 7, Total: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Beat(9, 10); err != nil {
+	if err := svc.Beat(ctx, key, g.Token, leasesvc.Beat{Seq: 2, Done: 9, Total: 10}); err != nil {
 		t.Fatal(err)
 	}
-	p, err = shard.ProbeLease(path)
+	p, err = probe(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.InfoOK || p.Info.Done != 9 || p.Info.Seq != 2 {
-		t.Fatalf("after 2 beats: %+v", p.Info)
+	if p.Done != 9 || p.Total != 10 || p.Seq != 2 {
+		t.Fatalf("after 2 beats: %+v", p)
 	}
 
-	if err := l.Release(); err != nil {
+	if err := svc.Release(ctx, key, g.Token); err != nil {
 		t.Fatal(err)
 	}
-	p, err = shard.ProbeLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Held || p.InfoOK {
-		t.Fatalf("released lease probes Held=%v InfoOK=%v", p.Held, p.InfoOK)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("clean release should remove the lease file")
+	if p, err = probe(a); err != nil || p.Held {
+		t.Fatalf("released lease probes %+v (%v)", p, err)
 	}
 }
 
 func TestLeaseProbeMissing(t *testing.T) {
-	p, err := shard.ProbeLease(filepath.Join(t.TempDir(), "nope.lease"))
+	p, err := shard.ServiceProbe(leasesvc.NewService(0), "cafe")(shard.Assignment{Index: 0, Of: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Held || p.InfoOK {
-		t.Fatalf("missing lease probes %+v", p)
+	if p != (shard.Probe{}) {
+		t.Fatalf("never-acquired lease probes %+v", p)
 	}
 }
 
+// TestLeaseStalled: a holder whose heartbeat Seq stays frozen on the
+// observer's clock past the TTL is stalled; a beat clears it, and an
+// unheld lease is dead, never stalled.
 func TestLeaseStalled(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.lease")
-	l, err := shard.AcquireLease(path, shard.LeaseInfo{Shard: 0, Of: 1})
+	ctx := context.Background()
+	svc := leasesvc.NewService(time.Hour)
+	probe := shard.ServiceProbe(svc, "cafe")
+	a := shard.Assignment{Index: 0, Of: 1}
+	key := leasesvc.Key{Campaign: "cafe", Shard: 0, Of: 1}
+	g, err := svc.Acquire(ctx, key, "w1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Release()
+	now := time.Unix(1_700_000_000, 0)
+	tr := &shard.StallTracker{Now: func() time.Time { return now }}
+	stalled := func() bool {
+		t.Helper()
+		p, err := probe(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Stalled(0, p, time.Second)
+	}
 
-	p, err := shard.ProbeLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Stalled(time.Hour) {
+	if stalled() {
 		t.Fatal("fresh lease reported stalled")
 	}
-	// Age the heartbeat file without beating.
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(path, old, old); err != nil {
+	// Let the observer's clock run past the TTL without a beat.
+	now = now.Add(2 * time.Second)
+	if !stalled() {
+		t.Fatal("frozen live lease should stall")
+	}
+	// A beat advances Seq and clears the stall clock.
+	if err := svc.Beat(ctx, key, g.Token, leasesvc.Beat{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	p, err = shard.ProbeLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Stalled(time.Second) {
-		t.Fatalf("aged live lease should stall (age %s)", p.Age)
-	}
-	// A beat rewrites the file and clears the stall.
-	if err := l.Beat(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	p, err = shard.ProbeLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Stalled(time.Second) {
+	if stalled() {
 		t.Fatal("beat did not clear the stall clock")
 	}
-	// Stalled is only meaningful for a live holder: a dead shard is
+	// Stalled is only meaningful for a live holder: a released shard is
 	// dead, not stalled.
-	l.Release()
-	if err := writeFile(path, []byte("leftover")); err != nil {
-		t.Fatal(err)
-	}
-	os.Chtimes(path, old, old)
-	p, _ = shard.ProbeLease(path)
-	if p.Stalled(time.Second) {
+	svc.Release(ctx, key, g.Token)
+	now = now.Add(time.Hour)
+	if stalled() {
 		t.Fatal("unheld lease reported stalled")
-	}
-}
-
-// TestLeaseTornRewrite: a probe that catches a torn heartbeat line
-// must report InfoOK=false, never garbage.
-func TestLeaseTornRewrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.lease")
-	l, err := shard.AcquireLease(path, shard.LeaseInfo{Shard: 2, Of: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the torn state mid-rewrite: truncate half the line.
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := shard.ProbeLease(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Held {
-		t.Fatal("flock should still be held")
-	}
-	if p.InfoOK {
-		t.Fatal("torn heartbeat line must not verify")
 	}
 }

@@ -10,17 +10,15 @@ import (
 	"rowhammer/internal/leasesvc"
 )
 
-// Remote-lease mode: when RunConfig.Lease is set, the shard's
-// ownership lives in a lease service (leasesvc) instead of a local
-// flock — the configuration that lets workers run on hosts that do
-// not share a kernel with the coordinator. The protocol differences
-// from flock mode, all of which exist because a network can lie in
-// ways a kernel cannot:
+// Shard ownership lives in a lease service (leasesvc), never in the
+// local kernel, so workers may run on hosts that do not share one
+// with the coordinator. Because a network can lie in ways a kernel
+// cannot, the protocol is built for it:
 //
 //   - Acquisition is *patient*: a predecessor's lease outlives its
-//     process by up to TTL (nobody can revoke it remotely), so a
-//     respawned worker polls acquire until the service ages the old
-//     lease out, instead of failing fast the way flock mode does.
+//     process by up to TTL unless its spawner evicts it
+//     (Service.EvictWorker), so a successor polls acquire until the
+//     service frees the old lease, instead of failing fast.
 //   - Every acquisition carries a monotonic fencing token, raised
 //     into the shard's fence file before the first append; the
 //     checkpoint writer enforces it per record (FencedWriter).
@@ -166,30 +164,20 @@ func (k *remoteKeeper) release() {
 }
 
 // ServiceProbe adapts lease-service views into the coordinator's
-// Probe shape, so Coordinate supervises remote-lease workers through
-// the exact code path it uses for flock workers: Held comes from the
-// service's own expiry judgment, Seq/Done/Total from the last
-// heartbeat, and Age is the service-clock time since Seq advanced.
+// Probe shape: Held comes from the service's own expiry judgment,
+// Seq/Done/Total from the last heartbeat, and Age is the service-clock
+// time since Seq advanced.
 func ServiceProbe(svc leasesvc.API, campaignHash string) func(Assignment) (Probe, error) {
 	return func(a Assignment) (Probe, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		v, ok, err := svc.View(ctx, leasesvc.Key{Campaign: campaignHash, Shard: a.Index, Of: a.Of})
-		if err != nil {
+		if err != nil || !ok {
 			return Probe{}, err
 		}
-		if !ok {
-			return Probe{}, nil
-		}
 		return Probe{
-			Held:   v.Held,
-			InfoOK: true,
-			Info: LeaseInfo{
-				Version: leaseVersion, Shard: a.Index, Of: a.Of,
-				Spec: campaignHash, Seq: v.Seq, Done: v.Done, Total: v.Total,
-			},
-			Age:   v.SinceAdvance,
-			Token: v.Token,
+			Held: v.Held, Seq: v.Seq, Done: v.Done, Total: v.Total,
+			Age: v.SinceAdvance, Token: v.Token,
 		}, nil
 	}
 }

@@ -69,8 +69,8 @@ func (f *partitionableAPI) View(ctx context.Context, key leasesvc.Key) (leasesvc
 }
 
 // Remote-lease happy path: a coordinator supervising lease-service
-// workers via ServiceProbe merges byte-identical to a single-process
-// run, every record is fenced with token 1, and nothing is duplicated.
+// workers merges byte-identical to a single-process run, every record
+// is fenced with token 1, and nothing is duplicated.
 func TestRemoteLeaseHappyPath(t *testing.T) {
 	spec := testSpec()
 	single, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: pureRunner})
@@ -78,31 +78,15 @@ func TestRemoteLeaseHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := summarize(t, single)
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	svc := leasesvc.NewService(time.Second)
 	dir := t.TempDir()
-	spawn := func(ctx context.Context, a shard.Assignment, gen int) (shard.WorkerHandle, error) {
-		wctx, cancel := context.WithCancel(ctx)
-		w := &procWorker{cancel: cancel, drain: make(chan struct{}), done: make(chan struct{})}
-		go func() {
-			defer close(w.done)
-			defer cancel()
-			_, w.err = shard.RunShard(wctx, shard.RunConfig{
-				Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
-				Drain: w.drain, BeatEvery: 10 * time.Millisecond,
-				Lease: svc, LeaseTTL: time.Second,
-			})
-		}()
-		return w, nil
-	}
+	h := newFleetHarness(t, dir, spec, time.Second)
+	h.startWorker("w1", nil, nil)
+	h.startWorker("w2", nil, nil)
+	defer h.drainAll()
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 3, Spawn: spawn,
+		Dir: dir, Spec: spec, Shards: 3, Fleet: h.svc,
 		LeaseTTL: time.Second,
-		Probe:    shard.ServiceProbe(svc, norm.IdentityHash()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +138,9 @@ func TestRemoteZombieFenced(t *testing.T) {
 	dir := t.TempDir()
 	parts := shard.Partition(2)
 
-	// Shard 1 runs cleanly in local-flock mode — mixed-mode merges
-	// must work, and it keeps the drill focused on shard 0.
+	// Shard 1 runs cleanly, which keeps the drill focused on shard 0.
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: svc,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -343,46 +326,37 @@ func TestFenceFileSemantics(t *testing.T) {
 }
 
 // Satellite 1: staleness is judged by Seq monotonicity on the
-// observer's clock — a clock-skewed host whose heartbeat file looks
+// observer's clock — a holder whose service-side heartbeat age looks
 // ancient is NOT stalled while its Seq advances, and a frozen Seq is
-// stalled even when the file's mtime stays fresh.
+// stalled even when the age stays fresh.
 func TestStallTrackerSeqMonotonicity(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	tr := &shard.StallTracker{Now: func() time.Time { return now }}
 	ttl := time.Second
-	probe := func(seq uint64, age time.Duration, infoOK bool) shard.Probe {
-		return shard.Probe{Held: true, InfoOK: infoOK, Age: age,
-			Info: shard.LeaseInfo{Seq: seq}}
+	probe := func(seq uint64, age time.Duration) shard.Probe {
+		return shard.Probe{Held: true, Age: age, Seq: seq}
 	}
 
-	// Advancing Seq with an absurd wall-clock age (skewed host): never
-	// stalled.
+	// Advancing Seq with an absurd age: never stalled.
 	for seq := uint64(1); seq <= 4; seq++ {
 		now = now.Add(900 * time.Millisecond)
-		if tr.Stalled(0, probe(seq, 48*time.Hour, true), ttl) {
-			t.Fatalf("seq %d advancing but declared stalled (wall-clock age must not matter)", seq)
+		if tr.Stalled(0, probe(seq, 48*time.Hour), ttl) {
+			t.Fatalf("seq %d advancing but declared stalled (the reported age must not matter)", seq)
 		}
 	}
-	// Frozen Seq with a perfectly fresh file mtime: stalled once the
-	// observer has watched it frozen for > ttl.
-	if tr.Stalled(0, probe(4, 0, true), ttl) {
+	// Frozen Seq with a perfectly fresh age: stalled once the observer
+	// has watched it frozen for > ttl.
+	if tr.Stalled(0, probe(4, 0), ttl) {
 		t.Fatal("frozen seq declared stalled before ttl elapsed")
 	}
 	now = now.Add(ttl + time.Millisecond)
-	if !tr.Stalled(0, probe(4, 0, true), ttl) {
+	if !tr.Stalled(0, probe(4, 0), ttl) {
 		t.Fatal("seq frozen for > ttl not declared stalled")
 	}
 	// A fresh generation after Forget starts a new clock.
 	tr.Forget(0)
-	if tr.Stalled(0, probe(4, 0, true), ttl) {
+	if tr.Stalled(0, probe(4, 0), ttl) {
 		t.Fatal("stalled immediately after Forget")
-	}
-	// No readable heartbeat: fall back to wall-clock age.
-	if !tr.Stalled(1, probe(0, 2*ttl, false), ttl) {
-		t.Fatal("no-heartbeat probe with old file not stalled via fallback")
-	}
-	if tr.Stalled(1, probe(0, ttl/2, false), ttl) {
-		t.Fatal("no-heartbeat probe with fresh file declared stalled")
 	}
 	// Unheld probes are never stalled.
 	if tr.Stalled(2, shard.Probe{Held: false, Age: time.Hour}, ttl) {
@@ -400,8 +374,7 @@ func TestStallTrackerTokenHandover(t *testing.T) {
 	tr := &shard.StallTracker{Now: func() time.Time { return now }}
 	ttl := time.Second
 	probe := func(token, seq uint64) shard.Probe {
-		return shard.Probe{Held: true, InfoOK: true, Token: token,
-			Info: shard.LeaseInfo{Seq: seq}}
+		return shard.Probe{Held: true, Token: token, Seq: seq}
 	}
 
 	// Predecessor (token 1) beats up to seq 9, then dies frozen.
@@ -443,7 +416,7 @@ func TestCoordinateReassignsCorruptInteriorShard(t *testing.T) {
 	parts := shard.Partition(2)
 	for _, a := range parts {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
+			Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -476,9 +449,11 @@ func TestCoordinateReassignsCorruptInteriorShard(t *testing.T) {
 		mu.Unlock()
 		return pureRunner(ctx, s, j)
 	}
+	h := newFleetHarness(t, dir, spec, time.Second)
+	h.startWorker("w1", countingRunner, nil)
+	defer h.drainAll()
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
-		Dir: dir, Spec: spec, Shards: 2,
-		Spawn: inProcessSpawn(dir, spec, func(shard.Assignment, int) campaign.Runner { return countingRunner }),
+		Dir: dir, Spec: spec, Shards: 2, Fleet: h.svc, Poll: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,23 +11,24 @@
 // shards died and resumed, or which process re-ran a reassigned job.
 //
 // Fault tolerance is built on two artifacts per shard, both owned by
-// internal/durable primitives:
+// internal/durable primitives, plus one lease service:
 //
 //   - the shard checkpoint (campaign v2 format, shard-stamped header)
 //     records exactly which jobs are done, so a dead shard's
 //     *remaining* jobs are computable by anyone holding the file;
-//   - the shard lease — a flock-guarded, CRC-trailed heartbeat file —
-//     proves liveness: the kernel drops the flock the instant the
-//     holder dies (SIGKILL included), and a holder that is alive but
-//     wedged stops refreshing the heartbeat, so a coordinator can
-//     distinguish dead, stalled and healthy workers without any IPC.
+//   - the fence file records the highest fencing token that ever
+//     started writing the shard, so a superseded writer's appends are
+//     refused no matter how long it lingers;
+//   - the shard lease, held in a leasesvc.Service, proves liveness by
+//     heartbeat and mints the fencing tokens.
 //
-// Coordinate supervises N workers through a process-agnostic Spawn
-// seam (exec'd rhfleet subprocesses, or in-process engine goroutines
-// under rhserved), detects death and stalls by lease, and reassigns a
-// dead shard's remaining jobs to a fresh worker that resumes from the
-// dead shard's checkpoint — the straggler path that keeps one bad
-// machine from stalling a 10k-module fleet.
+// Coordinate places shards onto workers registered with the lease
+// service's worker registry — rhfleet -worker processes on any host,
+// the ones a local `rhfleet -coordinate` spawns, or rhserved's
+// in-process RunWorker loops — detects death and stalls by lease, and
+// reassigns a dead shard's remaining jobs to a fresh attempt that
+// resumes from the dead shard's checkpoint: the straggler path that
+// keeps one bad machine from stalling a 10k-module fleet.
 package shard
 
 import (

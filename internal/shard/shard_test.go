@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rowhammer/internal/campaign"
+	"rowhammer/internal/leasesvc"
 	"rowhammer/internal/shard"
 )
 
@@ -109,7 +110,7 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 			dir := t.TempDir()
 			for _, a := range shard.Partition(n) {
 				if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-					Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner,
+					Dir: dir, Assignment: a, Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 					BeatEvery: 10 * time.Millisecond,
 				}); err != nil {
 					t.Fatalf("shard %s: %v", a, err)
@@ -156,7 +157,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 		return pureRunner(ctx, s, j)
 	}
 	_, err = shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: slowRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: slowRunner, Lease: leasesvc.NewService(0),
 		Drain: drain, BeatEvery: 10 * time.Millisecond,
 	})
 	if !errors.Is(err, campaign.ErrDrained) {
@@ -165,7 +166,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 
 	// A successor resumes shard 0's checkpoint and finishes the slice.
 	res0, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		BeatEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -175,7 +176,7 @@ func TestShardResumeAfterPartialRun(t *testing.T) {
 		t.Fatalf("resume should skip the 2 checkpointed jobs, skipped %d", res0.Skipped)
 	}
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		BeatEvery: 10 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestRunShardRejectsForeignCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	parts := shard.Partition(2)
 	if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[0], Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestRunShardRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := shard.RunShard(context.Background(), shard.RunConfig{
-		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner,
+		Dir: dir, Assignment: parts[1], Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 	})
 	if !errors.Is(err, campaign.ErrShardMismatch) {
 		t.Fatalf("want ErrShardMismatch, got %v", err)
@@ -227,12 +228,12 @@ func TestMergeShardsRejectsForeignCampaign(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	for _, a := range shard.Partition(2) {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dirA, Assignment: a, Spec: specA, Runner: pureRunner,
+			Dir: dirA, Assignment: a, Spec: specA, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dirB, Assignment: a, Spec: specB, Runner: pureRunner,
+			Dir: dirB, Assignment: a, Spec: specB, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +285,7 @@ func TestMergeShardsMissingJobs(t *testing.T) {
 	// pre-header) — the merge must tolerate it and report the gap.
 	for _, i := range []int{0, 2} {
 		if _, err := shard.RunShard(context.Background(), shard.RunConfig{
-			Dir: dir, Assignment: parts[i], Spec: spec, Runner: pureRunner,
+			Dir: dir, Assignment: parts[i], Spec: spec, Runner: pureRunner, Lease: leasesvc.NewService(0),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -310,8 +311,8 @@ func TestLayoutPaths(t *testing.T) {
 	if got := shard.CheckpointPath(dir, a); got != filepath.Join(dir, "shard-0003.ckpt") {
 		t.Fatalf("CheckpointPath = %s", got)
 	}
-	if got := shard.LeasePath(dir, a); got != filepath.Join(dir, "shard-0003.ckpt.lease") {
-		t.Fatalf("LeasePath = %s", got)
+	if got := shard.FencePath(dir, a); got != filepath.Join(dir, "shard-0003.ckpt.fence") {
+		t.Fatalf("FencePath = %s", got)
 	}
 	if got := shard.CheckpointPaths(dir, 2); len(got) != 2 || got[0] == got[1] {
 		t.Fatalf("CheckpointPaths = %v", got)

@@ -190,10 +190,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Registry.DeregisterWorker(dctx, id, token)
 	}
 
-	beatEvery := ttl / 4
-	if beatEvery < 25*time.Millisecond {
-		beatEvery = 25 * time.Millisecond
-	}
+	// Beats are also how placements arrive, so a long TTL must not
+	// make pickup slow: the cadence is a quarter TTL, at most maxTick.
+	beatEvery := min(max(ttl/4, 25*time.Millisecond), maxTick)
 	ticker := time.NewTicker(beatEvery)
 	defer ticker.Stop()
 	var seq uint64
