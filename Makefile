@@ -4,7 +4,7 @@ BENCHOUT ?= BENCH_pr8.json
 BENCHTHRESHOLD ?= 0.10
 BENCHSET ?= HammerThroughput|CampaignFleet|DisturbBatch|FlipApply
 
-.PHONY: all build test race vet bench bench-json bench-check bench-smoke golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
+.PHONY: all build test race vet bench bench-json bench-check bench-smoke perfbench-check golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
 
 all: check
 
@@ -61,6 +61,13 @@ bench-check:
 # without benchmark-grade runtime.
 bench-smoke:
 	$(GO) test -race -bench 'DisturbBatch|FlipApply' -run '^$$' -benchtime 1x .
+
+# The repo benchmark (perfbench/, run by `bash perfbench/run.sh`) is a
+# separate Go module, so `go build ./...` and `go test ./...` at the
+# root never compile it. Vet and test it here, so an API change in the
+# packages it drives fails before the benchmark does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Golden suite: every experiment's rendered text and JSON artifact is
 # byte-locked at tiny scale. On mismatch the actual bytes land next to

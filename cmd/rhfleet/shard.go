@@ -30,7 +30,7 @@ import (
 // under -shard-dir and its own fenced lease in a lease service.
 // `rhfleet -coordinate N` self-hosts that service, spawns N
 // `rhfleet -worker` processes against it, places the shards onto them
-// — reassigning a dead or stalled worker's shards — and merges;
+// — reassigning the shards of a worker whose lease lapses — and merges;
 // `rhfleet -worker -lease-url` joins a coordinator's (or rhserved's)
 // fleet from any host that can reach the URL and the shared
 // -shard-dir; `rhfleet -merge-shards` folds the shard checkpoints into
@@ -283,7 +283,6 @@ func runCoordinator(cfg coordinatorConfig) int {
 		Spec:        cfg.rsv.Spec,
 		Shards:      cfg.shards,
 		Fleet:       svc,
-		LeaseTTL:    cfg.leaseTTL,
 		MaxRespawns: cfg.maxRespawns,
 		Drain:       drainCh,
 		Log:         logf,

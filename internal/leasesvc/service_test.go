@@ -82,11 +82,30 @@ func TestExpiryJudgedBySeqMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	// Seq advances every 900ms: always fresh.
+	held := func() bool {
+		t.Helper()
+		v, ok, err := s.View(ctx, key)
+		if err != nil || !ok {
+			t.Fatalf("view: ok=%v err=%v", ok, err)
+		}
+		return v.Held
+	}
+	// Seq advances every 900ms, with a replay of the previous Seq in
+	// between: always fresh, and Held throughout.
 	for seq := uint64(1); seq <= 5; seq++ {
-		clk.advance(900 * time.Millisecond)
+		clk.advance(450 * time.Millisecond)
+		if err := s.Beat(ctx, key, g.Token, Beat{Seq: seq - 1}); err != nil {
+			t.Fatalf("replayed beat seq %d: %v", seq-1, err)
+		}
+		if !held() {
+			t.Fatalf("lease not Held after a replayed beat while Seq advances (seq %d)", seq-1)
+		}
+		clk.advance(450 * time.Millisecond)
 		if err := s.Beat(ctx, key, g.Token, Beat{Seq: seq}); err != nil {
 			t.Fatalf("beat seq %d: %v", seq, err)
+		}
+		if !held() {
+			t.Fatalf("lease not Held while Seq advances (seq %d)", seq)
 		}
 		if _, err := s.Acquire(ctx, key, "b:2", 0); !errors.Is(err, ErrHeld) {
 			t.Fatalf("acquire while fresh = %v, want ErrHeld", err)
@@ -98,6 +117,13 @@ func TestExpiryJudgedBySeqMonotonicity(t *testing.T) {
 		if err := s.Beat(ctx, key, g.Token, Beat{Seq: 5}); err != nil {
 			t.Fatalf("replayed beat: %v", err)
 		}
+		if i == 0 && !held() {
+			t.Fatal("lease not Held with Seq frozen for less than a TTL")
+		}
+	}
+	// Frozen for 1.5s > TTL while same-Seq beats keep arriving: lapsed.
+	if held() {
+		t.Fatal("lease still Held with Seq frozen for more than a TTL")
 	}
 	g2, err := s.Acquire(ctx, key, "b:2", 0)
 	if err != nil {
@@ -240,9 +266,17 @@ func TestProgressSurvivesFencingHandover(t *testing.T) {
 	}
 	// A stale beat (raced from before the handover, or a replayed
 	// lower count) must not drag progress backwards...
+	clk.advance(900 * time.Millisecond)
 	s.Beat(ctx, key, g2.Token, Beat{Seq: 1, Done: 3, Total: 9})
 	if v, _, _ := s.View(ctx, key); v.Done != 5 {
 		t.Fatalf("done regressed to %d after a lower beat, want 5", v.Done)
+	}
+	// The successor's Seq restarts below the predecessor's 3, yet Seq 1
+	// is an advance under the new token: the lease stays Held past a
+	// TTL after the acquisition.
+	clk.advance(900 * time.Millisecond)
+	if v, _, _ := s.View(ctx, key); !v.Held {
+		t.Fatalf("successor beating Seq 1 under token %d not Held: %+v", g2.Token, v)
 	}
 	// ...while the successor's real progress advances it.
 	s.Beat(ctx, key, g2.Token, Beat{Seq: 2, Done: 7, Total: 9})

@@ -622,12 +622,11 @@ func (m *Manager) coordinateInProcess(r *runState, dir string, n int) (*campaign
 // lease service.
 func (m *Manager) coordinate(r *runState, dir string, n int) (*campaign.Result, *shard.MergeReport, error) {
 	return shard.Coordinate(m.ctx, shard.Config{
-		Dir:      dir,
-		Spec:     r.resolved.Spec,
-		Shards:   n,
-		Fleet:    m.leases,
-		LeaseTTL: m.leases.DefaultLeaseTTL(),
-		Drain:    m.drainCh,
+		Dir:    dir,
+		Spec:   r.resolved.Spec,
+		Shards: n,
+		Fleet:  m.leases,
+		Drain:  m.drainCh,
 		Progress: func(done, total int) {
 			r.update(func(s *Status) { s.Done, s.Total = done, total })
 		},

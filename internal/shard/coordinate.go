@@ -32,12 +32,13 @@ type Config struct {
 	// liveness and throughput, and rebalances queued shards off slow
 	// workers. Local coordination is the degenerate case: the
 	// coordinator hosts the service and spawns the workers itself.
+	// The service's expiry is the only liveness judge: a shard whose
+	// lease lapses — its holder died, or its heartbeat Seq froze for
+	// a TTL — is reassigned. The scheduler's own time bounds derive
+	// from the service's default lease TTL.
 	Fleet *leasesvc.Service
-	// LeaseTTL is how long a held lease may go without a heartbeat
-	// before the worker is declared stalled and its shard withdrawn.
-	// Default 15s.
-	LeaseTTL time.Duration
-	// Poll is the scheduler tick. Default LeaseTTL/4, at most 500ms.
+	// Poll is the scheduler tick. Default a quarter of the Fleet's
+	// default lease TTL, at most 500ms.
 	Poll time.Duration
 	// MaxRespawns bounds reassignments per shard; exceeding it aborts
 	// the campaign rather than reassigning a crash-looping shard
@@ -56,21 +57,12 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-// exitEvent is one shard attempt's termination as seen by the event
-// loop — the shard's lease lapsing after having been held, or the
-// scheduler giving up on a placement.
-type exitEvent struct {
-	idx int
-	gen int
-	err error
-}
-
 // Coordinate supervises an N-way sharded campaign run to completion:
 // place an attempt per incomplete shard onto a registered fleet
-// worker, probe leases to catch dead and stalled workers, reassign a
-// dead shard's remaining jobs to a fresh attempt (bounded by
-// MaxRespawns), and finally merge the shard checkpoints into one
-// result byte-identical to a single-process run.
+// worker, retire attempts whose shard lease lapses, reassign a dead
+// shard's remaining jobs to a fresh attempt (bounded by MaxRespawns),
+// and finally merge the shard checkpoints into one result
+// byte-identical to a single-process run.
 //
 // A shard counts as complete when every job it owns has a checkpoint
 // record — failed records included, matching single-process semantics
@@ -93,10 +85,7 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = 15 * time.Second
-	}
+	ttl := cfg.Fleet.DefaultLeaseTTL()
 	poll := cfg.Poll
 	if poll <= 0 {
 		poll = min(ttl/4, maxTick)
@@ -115,20 +104,11 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 	defer coordLock.Release()
 
 	hash := spec.IdentityHash()
-	probe := ServiceProbe(cfg.Fleet, hash)
-	stalls := &StallTracker{}
 	parts := Partition(cfg.Shards)
 	exec := newFleetExecutor(cfg.Fleet, cfg.Dir, spec, parts, ttl, logf, cfg.Progress)
 	defer exec.Close()
 
-	active := make(map[int]int, cfg.Shards) // shard index → current generation
-	gens := make(map[int]int, cfg.Shards)
-	done := make(map[int]bool, cfg.Shards)
-
-	start := func(a Assignment) {
-		exec.Start(a, gens[a.Index])
-		active[a.Index] = gens[a.Index]
-	}
+	gens := make(map[int]int, cfg.Shards) // shard index → current generation
 
 	// Judge every shard from disk before starting anything: a restarted
 	// coordinator skips shards whose checkpoints are already complete,
@@ -148,91 +128,82 @@ func Coordinate(ctx context.Context, cfg Config) (*campaign.Result, *MergeReport
 			return nil, nil, err
 		}
 		if haveCkpt && len(missing) == 0 {
-			done[a.Index] = true
 			continue
 		}
 		if haveCkpt {
 			logf("shard %s: resuming, %d job(s) remaining", a, len(missing))
 		}
-		start(a)
+		exec.Start(a, 0)
 	}
 
+	// retire judges a finished attempt from its checkpoint: complete,
+	// drained, or reassigned to a fresh generation.
 	draining := false
-	startDrain := func() {
+	retire := func(at *fleetAttempt) error {
+		idx := at.a.Index
+		missing, haveCkpt, err := shardMissing(spec, at.a, CheckpointPath(cfg.Dir, at.a))
+		if err != nil {
+			return err
+		}
+		if haveCkpt && len(missing) == 0 {
+			if at.err != nil {
+				// Every job has a record despite the non-clean exit:
+				// the worker died after its last record landed, or
+				// some jobs are recorded as failed.
+				logf("shard %s: complete (worker exited: %v)", at.a, at.err)
+			} else {
+				logf("shard %s: complete", at.a)
+			}
+			return nil
+		}
 		if draining {
-			return
+			logf("shard %s: drained with %d job(s) remaining", at.a, len(missing))
+			return nil
 		}
-		draining = true
-		logf("coordinator: draining %d active shard(s)", len(active))
-		for idx := range active {
-			exec.Drain(parts[idx])
+		gens[idx]++
+		if gens[idx] > maxRespawns {
+			// Wrap the last attempt's error so callers can react to
+			// the cause — rhserved falls back to in-process workers
+			// when it is ErrNoWorkers.
+			return fmt.Errorf(
+				"shard %s: gave up after %d reassignment(s); %d job(s) still missing (last worker: %w)",
+				at.a, maxRespawns, len(missing), at.err)
 		}
+		logf("shard %s: worker gen %d died with %d job(s) remaining (%v); reassigning to gen %d",
+			at.a, at.gen, len(missing), at.err, gens[idx])
+		exec.Start(at.a, gens[idx])
+		return nil
 	}
 
+	// A dead or frozen worker surfaces as a lapsed lease, which Tick
+	// retires; the attempts Tick and Drain retire are judged in the
+	// same iteration.
+	drain := cfg.Drain
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
-	for len(active) > 0 {
+	for exec.Active() > 0 {
+		var retired []*fleetAttempt
 		select {
 		case <-ctx.Done():
 			return nil, nil, ctx.Err()
-		case <-cfg.Drain:
-			startDrain()
+		case <-drain:
+			// A closed channel is always ready: receive it once, or the
+			// loop spins until every started shard has drained.
+			drain = nil
+			draining = true
+			logf("coordinator: draining %d active shard(s)", exec.Active())
+			for _, a := range parts {
+				if at := exec.Drain(a); at != nil {
+					retired = append(retired, at)
+				}
+			}
 		case <-ticker.C:
-			// Let the scheduler observe the world first: it watches
-			// leases and worker registrations (and may synthesize exit
-			// events).
-			exec.Tick()
-			// A dead worker surfaces as a lapsed lease; the probe exists
-			// for stragglers — held but silent. Staleness is judged by
-			// Seq monotonicity on our own clock, so a clock-skewed host
-			// with an advancing Seq is never mistaken for a stall.
-			for idx := range active {
-				a := parts[idx]
-				p, err := probe(a)
-				if err != nil {
-					continue
-				}
-				if stalls.Stalled(idx, p, ttl) {
-					logf("shard %s: stalled (heartbeat seq %d frozen for > %s); withdrawing", a, p.Seq, ttl)
-					exec.Kill(a)
-				}
+			retired = exec.Tick()
+		}
+		for _, at := range retired {
+			if err := retire(at); err != nil {
+				return nil, nil, err
 			}
-		case ev := <-exec.Events():
-			delete(active, ev.idx)
-			stalls.Forget(ev.idx)
-			a := parts[ev.idx]
-			missing, haveCkpt, merr := shardMissing(spec, a, CheckpointPath(cfg.Dir, a))
-			if merr != nil {
-				return nil, nil, merr
-			}
-			if haveCkpt && len(missing) == 0 {
-				done[ev.idx] = true
-				if ev.err != nil {
-					// Every job has a record despite the non-clean exit:
-					// the worker died after its last record landed, or
-					// some jobs are recorded as failed.
-					logf("shard %s: complete (worker exited: %v)", a, ev.err)
-				} else {
-					logf("shard %s: complete", a)
-				}
-				continue
-			}
-			if draining {
-				logf("shard %s: drained with %d job(s) remaining", a, len(missing))
-				continue
-			}
-			gens[ev.idx]++
-			if gens[ev.idx] > maxRespawns {
-				// Wrap the last attempt's error so callers can react to
-				// the cause — rhserved falls back to in-process workers
-				// when it is ErrNoWorkers.
-				return nil, nil, fmt.Errorf(
-					"shard %s: gave up after %d reassignment(s); %d job(s) still missing (last worker: %w)",
-					a, maxRespawns, len(missing), ev.err)
-			}
-			logf("shard %s: worker gen %d died with %d job(s) remaining (%v); reassigning to gen %d",
-				a, ev.gen, len(missing), ev.err, gens[ev.idx])
-			start(a)
 		}
 	}
 

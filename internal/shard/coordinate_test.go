@@ -113,7 +113,7 @@ func TestCoordinateReassignsDeadShard(t *testing.T) {
 	var logs []string
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 3, Fleet: h.svc,
-		LeaseTTL: 300 * time.Millisecond, Poll: 50 * time.Millisecond,
+		Poll: 50 * time.Millisecond,
 		Log: func(f string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, strings.TrimSpace(fmt.Sprintf(f, args...)))
@@ -185,7 +185,7 @@ func TestCoordinateKillsStalledShard(t *testing.T) {
 	h.startRun("w2", run("w2"))
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, Fleet: h.svc,
-		LeaseTTL: ttl, Poll: 30 * time.Millisecond,
+		Poll: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestCoordinateGivesUpAfterMaxRespawns(t *testing.T) {
 	h.startRun("w2", run("w2"))
 	_, _, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, MaxRespawns: 2, Fleet: h.svc,
-		LeaseTTL: ttl, Poll: 50 * time.Millisecond,
+		Poll: 50 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("crash-looping shard should abort the campaign")
@@ -302,7 +302,7 @@ func TestCoordinateDrainThenResume(t *testing.T) {
 	h.startRun("w2", run("w2"))
 	_, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, Drain: drain, Fleet: h.svc,
-		LeaseTTL: time.Second, Poll: 50 * time.Millisecond,
+		Poll: 50 * time.Millisecond,
 	})
 	if !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("want ErrDrained, got %v", err)
@@ -369,7 +369,7 @@ func TestCoordinateSeedsTokenFloorFromFence(t *testing.T) {
 	defer cancel()
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 2, MaxRespawns: 1, Fleet: h.svc,
-		LeaseTTL: time.Second, Poll: 20 * time.Millisecond, Log: t.Logf,
+		Poll: 20 * time.Millisecond, Log: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("coordinate over a handed-over shard: %v", err)

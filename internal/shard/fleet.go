@@ -47,14 +47,18 @@ type fleetAttempt struct {
 	// into a normal reassignment instead of a hang.
 	starving   time.Time
 	waitLogged bool
+	// err is the attempt's verdict once retired: why its lease lapsed
+	// or the scheduler gave up on it.
+	err error
 }
 
 // fleetExecutor places shard attempts onto workers registered with
 // the lease service's worker registry and supervises them through
-// their shard leases alone: an attempt is alive exactly while its
-// lease is held, its throughput is the lease's done counter, and
-// "kill" is withdrawing the placement — fencing makes the handover
-// safe whether or not the worker ever hears about it.
+// their shard leases alone: an attempt is alive exactly while the
+// service judges its lease held, and its throughput is the lease's
+// done counter. Retiring an attempt withdraws its placement — fencing
+// makes the handover safe whether or not the worker ever hears about
+// it.
 type fleetExecutor struct {
 	svc      *leasesvc.Service
 	dir      string
@@ -67,7 +71,6 @@ type fleetExecutor struct {
 	progress func(done, total int)
 	now      func() time.Time
 
-	events   chan exitEvent
 	attempts map[int]*fleetAttempt
 	rates    *rateTracker
 	// starved remembers, per shard, the worker whose starvation bound
@@ -92,7 +95,6 @@ func newFleetExecutor(svc *leasesvc.Service, dir string, spec campaign.Spec, par
 		svc: svc, dir: dir, hash: spec.IdentityHash(),
 		parts: parts, jobs: jobs, total: total, ttl: ttl,
 		logf: logf, progress: progress, now: time.Now,
-		events:   make(chan exitEvent, len(parts)),
 		attempts: make(map[int]*fleetAttempt, len(parts)),
 		rates:    newRateTracker(),
 		starved:  map[int]string{},
@@ -111,7 +113,7 @@ func (e *fleetExecutor) startPatience() time.Duration { return 6 * e.ttl }
 
 // Start launches generation gen of shard a. Exactly one attempt per
 // shard is in flight at a time; the supervision loop never Starts a
-// shard again before consuming its previous attempt's exit event.
+// shard again before its previous attempt was retired.
 func (e *fleetExecutor) Start(a Assignment, gen int) {
 	at := &fleetAttempt{a: a, gen: gen}
 	done := 0
@@ -127,44 +129,28 @@ func (e *fleetExecutor) Start(a Assignment, gen int) {
 	e.place(at, e.aliveWorkers())
 }
 
-// Kill withdraws shard a's placement and retires the attempt at once;
-// the fence file makes the handover safe whether or not the worker
-// ever hears about it.
-func (e *fleetExecutor) Kill(a Assignment) {
-	at := e.attempts[a.Index]
-	if at == nil {
-		return
-	}
-	if at.worker != "" {
-		e.svc.Unassign(at.worker, e.placement(a))
-	}
-	e.finish(at, errors.New("placement withdrawn by coordinator"))
-}
-
 // Drain asks shard a's attempt to stop gracefully — the worker drains
-// the withdrawn placement, checkpoints and releases the lease — which
-// eventually surfaces on Events.
-func (e *fleetExecutor) Drain(a Assignment) {
+// the withdrawn placement, checkpoints and releases the lease, and a
+// later Tick retires the attempt through the normal lapse path. An
+// attempt that never started has nothing to wait for: Drain retires
+// and returns it at once. Otherwise it returns nil.
+func (e *fleetExecutor) Drain(a Assignment) *fleetAttempt {
 	at := e.attempts[a.Index]
 	if at == nil || at.draining {
-		return
+		return nil
 	}
 	at.draining = true
 	if at.worker != "" {
 		e.svc.Unassign(at.worker, e.placement(a))
 	}
 	if !at.sawHeld {
-		// Never started: nothing to wait for.
-		e.finish(at, errors.New("drained before start"))
+		return e.finish(at, errors.New("drained before start"))
 	}
-	// Started: the worker sees the withdrawal on its next beat, drains
-	// the shard, and releases the lease — Tick then finishes the
-	// attempt through the normal lapse path.
+	return nil
 }
 
-// Events delivers attempt terminations, at most one outstanding per
-// shard.
-func (e *fleetExecutor) Events() <-chan exitEvent { return e.events }
+// Active counts the attempts in flight: started and not yet retired.
+func (e *fleetExecutor) Active() int { return len(e.attempts) }
 
 // Close withdraws every placement still tracked.
 func (e *fleetExecutor) Close() {
@@ -176,15 +162,16 @@ func (e *fleetExecutor) Close() {
 	e.attempts = map[int]*fleetAttempt{}
 }
 
-// finish retires an attempt and reports its termination. The
-// placement is withdrawn so the worker stops caring about a shard the
-// scheduler no longer tracks.
-func (e *fleetExecutor) finish(at *fleetAttempt, err error) {
+// finish retires an attempt with err as its verdict and returns it.
+// The placement is withdrawn so the worker stops caring about a shard
+// the scheduler no longer tracks.
+func (e *fleetExecutor) finish(at *fleetAttempt, err error) *fleetAttempt {
 	if at.worker != "" {
 		e.svc.Unassign(at.worker, e.placement(at.a))
 	}
 	delete(e.attempts, at.a.Index)
-	e.events <- exitEvent{idx: at.a.Index, gen: at.gen, err: err}
+	at.err = err
+	return at
 }
 
 // aliveWorkers lists the live registrations this campaign may place
@@ -222,8 +209,8 @@ func Serves(owner, hash string) bool {
 // attempts whose lease lapsed, re-place attempts whose worker
 // vanished before starting, bound wedged placements, heal assignments
 // a re-registered worker lost, and rebalance queued shards off slow
-// workers.
-func (e *fleetExecutor) Tick() {
+// workers. It returns the attempts it retired, in shard order.
+func (e *fleetExecutor) Tick() (retired []*fleetAttempt) {
 	ctx := context.Background()
 	workers := e.aliveWorkers()
 	now := e.now()
@@ -264,21 +251,6 @@ func (e *fleetExecutor) Tick() {
 		}
 	}
 
-	// Busy slots are judged service-wide, not from this executor's
-	// attempts alone: a worker's capacity may be occupied by another
-	// campaign's placements (rhserved runs several against one shared
-	// registry), which this executor can't see in its own attempt set.
-	// Count every assignment whose shard lease is held, whoever placed
-	// it, so a genuinely busy worker never starts the starving clock.
-	busy := map[string]int{}
-	for id, w := range workers {
-		for _, p := range w.Assignments {
-			if v, ok, err := e.svc.View(ctx, p.LeaseKey()); err == nil && ok && v.Held {
-				busy[id]++
-			}
-		}
-	}
-
 	if e.progress != nil {
 		done := 0
 		for _, a := range e.parts {
@@ -299,7 +271,7 @@ func (e *fleetExecutor) Tick() {
 			continue
 		}
 		if at.sawHeld {
-			e.finish(at, errLeaseLapsed)
+			retired = append(retired, e.finish(at, errLeaseLapsed))
 			continue
 		}
 		if at.draining {
@@ -312,7 +284,7 @@ func (e *fleetExecutor) Tick() {
 				at.worker = ""
 			}
 			if len(workers) == 0 && now.Sub(e.noWorkersSince) > e.startPatience() {
-				e.finish(at, fmt.Errorf("%w within %s", ErrNoWorkers, e.startPatience()))
+				retired = append(retired, e.finish(at, fmt.Errorf("%w within %s", ErrNoWorkers, e.startPatience())))
 				continue
 			}
 			e.place(at, workers)
@@ -321,13 +293,13 @@ func (e *fleetExecutor) Tick() {
 		// Queued on a live worker. A worker with a free slot that still
 		// does not pick the shard up is wedged on it; bound that
 		// instead of hanging the campaign.
-		if busy[at.worker] < workers[at.worker].Slots {
+		if e.freeSlot(workers[at.worker]) {
 			if at.starving.IsZero() {
 				at.starving = now
 			}
 			if now.Sub(at.starving) > e.startPatience() {
 				e.starved[at.a.Index] = at.worker
-				e.finish(at, fmt.Errorf("worker %s never acquired the shard lease within %s", at.worker, e.startPatience()))
+				retired = append(retired, e.finish(at, fmt.Errorf("worker %s never acquired the shard lease within %s", at.worker, e.startPatience())))
 			}
 		} else {
 			at.starving = time.Time{}
@@ -339,6 +311,24 @@ func (e *fleetExecutor) Tick() {
 	workers = e.aliveWorkers()
 	e.reconcile(workers)
 	e.rebalance(workers)
+	return retired
+}
+
+// freeSlot reports whether worker w has capacity no held shard lease
+// occupies. Busy slots are judged service-wide, not from this
+// executor's attempts alone: a worker's capacity may be occupied by
+// another campaign's placements (rhserved runs several against one
+// shared registry), which this executor can't see in its own attempt
+// set. Every assignment whose shard lease is held counts, whoever
+// placed it.
+func (e *fleetExecutor) freeSlot(w leasesvc.WorkerView) bool {
+	busy := 0
+	for _, p := range w.Assignments {
+		if v, ok, err := e.svc.View(context.Background(), p.LeaseKey()); err == nil && ok && v.Held {
+			busy++
+		}
+	}
+	return busy < w.Slots
 }
 
 // snapshot copies the attempt set so retirement during iteration is
@@ -450,7 +440,10 @@ func (e *fleetExecutor) reconcile(workers map[string]leasesvc.WorkerView) {
 // from the worker with the worst estimated completion time to the one
 // with the best, when the imbalance is decisive. Started shards are
 // never moved: their checkpoints live where they run, and a move
-// would pay a fencing handover for speculative gain.
+// would pay a fencing handover for speculative gain. Nor is a shard
+// moved off a worker with a free slot: its unheld lease there means
+// the worker is starting it right now (it resolves the spec before
+// acquiring), not that it waits behind other work.
 func (e *fleetExecutor) rebalance(workers map[string]leasesvc.WorkerView) {
 	if len(workers) < 2 {
 		return
@@ -464,6 +457,11 @@ func (e *fleetExecutor) rebalance(workers map[string]leasesvc.WorkerView) {
 	for _, at := range e.snapshot() {
 		if at.worker != "" && !at.sawHeld && !at.draining {
 			queued[at.worker] = append(queued[at.worker], at)
+		}
+	}
+	for id := range queued {
+		if e.freeSlot(workers[id]) {
+			delete(queued, id)
 		}
 	}
 	donor, recipient := "", ""

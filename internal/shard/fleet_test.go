@@ -147,7 +147,7 @@ func TestFleetCoordinateHappyPath(t *testing.T) {
 	var progressed bool
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 4,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Fleet: h.svc, Poll: 25 * time.Millisecond,
 		Progress: func(done, total int) {
 			if done > 0 && total == len(campaign.Expand(spec)) {
 				progressed = true
@@ -211,7 +211,7 @@ func TestFleetCoordinateWorkerLossReassigns(t *testing.T) {
 	defer cancel()
 	res, rep, err := shard.Coordinate(ctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 3,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 25 * time.Millisecond,
+		Fleet: h.svc, Poll: 25 * time.Millisecond,
 		Log: func(f string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(f, args...))
@@ -269,7 +269,7 @@ func TestFleetCoordinateBoundsUnstartablePlacement(t *testing.T) {
 	defer ccancel()
 	_, _, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Fleet: h.svc, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if err == nil {
@@ -293,7 +293,7 @@ func TestFleetCoordinateNoWorkersBounded(t *testing.T) {
 	defer cancel()
 	_, _, err := shard.Coordinate(ctx, shard.Config{
 		Dir: t.TempDir(), Spec: spec, Shards: 2, MaxRespawns: 1,
-		Fleet: svc, LeaseTTL: 100 * time.Millisecond, Poll: 20 * time.Millisecond,
+		Fleet: svc, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if !errors.Is(err, shard.ErrNoWorkers) {
@@ -375,7 +375,7 @@ func TestFleetForeignBusySlotIsNotStarvation(t *testing.T) {
 	defer ccancel()
 	_, rep, err := shard.Coordinate(cctx, shard.Config{
 		Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-		Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond,
+		Fleet: h.svc, Poll: 20 * time.Millisecond,
 		Log: t.Logf,
 	})
 	if err != nil {
@@ -429,7 +429,7 @@ func TestFleetScopedWorkerServesOnlyItsCampaign(t *testing.T) {
 		h.waitRegistered("scoped")
 		_, _, err := shard.Coordinate(ctx, shard.Config{
 			Dir: dir, Spec: spec, Shards: 1, MaxRespawns: 1,
-			Fleet: h.svc, LeaseTTL: ttl, Poll: 20 * time.Millisecond, Log: t.Logf,
+			Fleet: h.svc, Poll: 20 * time.Millisecond, Log: t.Logf,
 		})
 		if !errors.Is(err, tc.wantErr) {
 			t.Fatalf("worker owned by %q: coordinate = %v, want %v", tc.owner, err, tc.wantErr)
@@ -437,4 +437,87 @@ func TestFleetScopedWorkerServesOnlyItsCampaign(t *testing.T) {
 		wcancel()
 		<-done
 	}
+}
+
+// TestFleetRebalanceRunsEachShardOnce: rebalance moves a shard queued
+// behind a busy worker, and that worker must not start the shard
+// anyway from the placement list its last heartbeat delivered. w1
+// registers alone and is handed all four shards; w2 joins while w1 runs
+// shard 0, and the scheduler moves a queued shard to w2. A donor that
+// starts the moved shard from its stale queue runs it a second time
+// across a fencing handover, and that shard's fence file ends at
+// token 2.
+func TestFleetRebalanceRunsEachShardOnce(t *testing.T) {
+	spec := testSpec()
+	spec.Workers = 1
+	single, err := campaign.Run(context.Background(), spec, campaign.Options{Runner: pureRunner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summarize(t, single)
+
+	dir := t.TempDir()
+	// A 2s TTL spaces worker heartbeats 500ms apart, so w1 finishes a
+	// shard well before its next beat reports the move.
+	ttl := 2 * time.Second
+	h := newFleetHarness(t, dir, spec, ttl)
+	slow := func(ctx context.Context, s campaign.Spec, j campaign.Job) (campaign.Record, error) {
+		time.Sleep(250 * time.Millisecond)
+		return pureRunner(ctx, s, j)
+	}
+	var recOnce sync.Once
+	firstRecord := make(chan struct{})
+	h.startWorker("w1", slow, func(leasesvc.Placement) {
+		recOnce.Do(func() { close(firstRecord) })
+	})
+
+	var logMu sync.Mutex
+	var logs []string
+	type result struct {
+		res *campaign.Result
+		rep *shard.MergeReport
+		err error
+	}
+	out := make(chan result, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() {
+		res, rep, err := shard.Coordinate(ctx, shard.Config{
+			Dir: dir, Spec: spec, Shards: 4, Fleet: h.svc, Poll: 20 * time.Millisecond,
+			Log: func(f string, args ...any) {
+				logMu.Lock()
+				logs = append(logs, fmt.Sprintf(f, args...))
+				logMu.Unlock()
+				t.Logf(f, args...)
+			},
+		})
+		out <- result{res, rep, err}
+	}()
+	<-firstRecord
+	h.startWorker("w2", slow, nil)
+	r := <-out
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !r.rep.Complete() {
+		t.Fatalf("incomplete: %v", r.rep.Missing)
+	}
+	if got := summarize(t, r.res); !bytes.Equal(got, want) {
+		t.Fatalf("rebalanced summary differs:\n%s\nwant:\n%s", got, want)
+	}
+	logMu.Lock()
+	rebalanced := false
+	for _, l := range logs {
+		rebalanced = rebalanced || strings.Contains(l, "rebalance")
+	}
+	logMu.Unlock()
+	if !rebalanced {
+		t.Fatal("no shard was rebalanced onto w2 — the test is vacuous")
+	}
+	for _, a := range shard.Partition(4) {
+		if tok, err := shard.ReadFence(shard.FencePath(dir, a)); err != nil || tok != 1 {
+			t.Fatalf("shard %s: fence at token %d (%v), want 1 — the shard ran twice", a, tok, err)
+		}
+	}
+	h.drainAll()
 }

@@ -162,22 +162,3 @@ func (k *remoteKeeper) release() {
 		k.logf("shard %d/%d: releasing lease: %v", k.key.Shard, k.key.Of, err)
 	}
 }
-
-// ServiceProbe adapts lease-service views into the coordinator's
-// Probe shape: Held comes from the service's own expiry judgment,
-// Seq/Done/Total from the last heartbeat, and Age is the service-clock
-// time since Seq advanced.
-func ServiceProbe(svc leasesvc.API, campaignHash string) func(Assignment) (Probe, error) {
-	return func(a Assignment) (Probe, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		v, ok, err := svc.View(ctx, leasesvc.Key{Campaign: campaignHash, Shard: a.Index, Of: a.Of})
-		if err != nil || !ok {
-			return Probe{}, err
-		}
-		return Probe{
-			Held: v.Held, Seq: v.Seq, Done: v.Done, Total: v.Total,
-			Age: v.SinceAdvance, Token: v.Token,
-		}, nil
-	}
-}

@@ -86,7 +86,6 @@ func TestRemoteLeaseHappyPath(t *testing.T) {
 	defer h.drainAll()
 	res, rep, err := shard.Coordinate(context.Background(), shard.Config{
 		Dir: dir, Spec: spec, Shards: 3, Fleet: h.svc,
-		LeaseTTL: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,80 +321,6 @@ func TestFenceFileSemantics(t *testing.T) {
 	}
 	if _, err := shard.ReadFence(path); err == nil {
 		t.Fatal("damaged fence file must read as an error, not as token 0")
-	}
-}
-
-// Satellite 1: staleness is judged by Seq monotonicity on the
-// observer's clock — a holder whose service-side heartbeat age looks
-// ancient is NOT stalled while its Seq advances, and a frozen Seq is
-// stalled even when the age stays fresh.
-func TestStallTrackerSeqMonotonicity(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	tr := &shard.StallTracker{Now: func() time.Time { return now }}
-	ttl := time.Second
-	probe := func(seq uint64, age time.Duration) shard.Probe {
-		return shard.Probe{Held: true, Age: age, Seq: seq}
-	}
-
-	// Advancing Seq with an absurd age: never stalled.
-	for seq := uint64(1); seq <= 4; seq++ {
-		now = now.Add(900 * time.Millisecond)
-		if tr.Stalled(0, probe(seq, 48*time.Hour), ttl) {
-			t.Fatalf("seq %d advancing but declared stalled (the reported age must not matter)", seq)
-		}
-	}
-	// Frozen Seq with a perfectly fresh age: stalled once the observer
-	// has watched it frozen for > ttl.
-	if tr.Stalled(0, probe(4, 0), ttl) {
-		t.Fatal("frozen seq declared stalled before ttl elapsed")
-	}
-	now = now.Add(ttl + time.Millisecond)
-	if !tr.Stalled(0, probe(4, 0), ttl) {
-		t.Fatal("seq frozen for > ttl not declared stalled")
-	}
-	// A fresh generation after Forget starts a new clock.
-	tr.Forget(0)
-	if tr.Stalled(0, probe(4, 0), ttl) {
-		t.Fatal("stalled immediately after Forget")
-	}
-	// Unheld probes are never stalled.
-	if tr.Stalled(2, shard.Probe{Held: false, Age: time.Hour}, ttl) {
-		t.Fatal("unheld lease declared stalled")
-	}
-}
-
-// A reassigned shard's successor acquires a higher fencing token and
-// its heartbeat Seq restarts at zero — below the dead predecessor's
-// high-water Seq. The tracker must treat the token change as a new
-// holder with a fresh stall clock, not as a frozen heartbeat, or it
-// would kill every healthy successor ttl after the handover.
-func TestStallTrackerTokenHandover(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	tr := &shard.StallTracker{Now: func() time.Time { return now }}
-	ttl := time.Second
-	probe := func(token, seq uint64) shard.Probe {
-		return shard.Probe{Held: true, Token: token, Seq: seq}
-	}
-
-	// Predecessor (token 1) beats up to seq 9, then dies frozen.
-	tr.Stalled(0, probe(1, 9), ttl)
-	now = now.Add(ttl + time.Millisecond)
-	if !tr.Stalled(0, probe(1, 9), ttl) {
-		t.Fatal("frozen predecessor not declared stalled")
-	}
-	// Successor acquires token 2; its seq 1 < 9 must not read as
-	// frozen.
-	if tr.Stalled(0, probe(2, 1), ttl) {
-		t.Fatal("successor with fresh token declared stalled on predecessor's seq")
-	}
-	// And its own clock only trips after its own ttl of frozen seq.
-	now = now.Add(ttl / 2)
-	if tr.Stalled(0, probe(2, 1), ttl) {
-		t.Fatal("successor stalled before its own ttl elapsed")
-	}
-	now = now.Add(ttl)
-	if !tr.Stalled(0, probe(2, 1), ttl) {
-		t.Fatal("successor genuinely frozen for > ttl not declared stalled")
 	}
 }
 

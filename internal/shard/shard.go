@@ -25,10 +25,11 @@
 // Coordinate places shards onto workers registered with the lease
 // service's worker registry — rhfleet -worker processes on any host,
 // the ones a local `rhfleet -coordinate` spawns, or rhserved's
-// in-process RunWorker loops — detects death and stalls by lease, and
-// reassigns a dead shard's remaining jobs to a fresh attempt that
-// resumes from the dead shard's checkpoint: the straggler path that
-// keeps one bad machine from stalling a 10k-module fleet.
+// in-process RunWorker loops — detects dead and frozen workers by
+// their leases lapsing in the service, and reassigns a dead shard's
+// remaining jobs to a fresh attempt that resumes from the dead shard's
+// checkpoint: the straggler path that keeps one bad machine from
+// stalling a 10k-module fleet.
 package shard
 
 import (

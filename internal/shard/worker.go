@@ -46,9 +46,11 @@ type WorkerConfig struct {
 // drain is requested. Assignments arrive as heartbeat answers: each
 // beat returns the worker's current placement set, and the loop
 // reconciles — new placements start (up to Slots at a time, the rest
-// queue), withdrawn placements drain. Liveness flows the other way on
-// the same channel: the scheduler trusts this worker only while its
-// beat Seq keeps advancing.
+// queue), withdrawn placements drain, and a slot that frees up is
+// refilled from a fresh answer rather than the queue an older one
+// delivered. Liveness flows the other way on the same channel: the
+// scheduler trusts this worker only while its beat Seq keeps
+// advancing.
 //
 // Correctness never rests on this loop. A worker that misses every
 // memo still cannot corrupt a campaign: each placement's runner holds
@@ -146,14 +148,18 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 					logf("worker %s: shard %d/%d withdrawn; draining", id, p.Shard, p.Of)
 				}
 			}
-			kept := pending[:0]
-			for _, p := range pending {
-				if desired[p] {
-					kept = append(kept, p)
-				}
-			}
-			pending = kept
 		}
+		// Queued placements follow every answer, grace or not: one the
+		// scheduler moved elsewhere must not start here, and one lost
+		// to a re-registration comes back when the scheduler re-asserts
+		// it.
+		kept := pending[:0]
+		for _, p := range pending {
+			if desired[p] {
+				kept = append(kept, p)
+			}
+		}
+		pending = kept
 		for _, p := range ps {
 			if running[p] != nil || completed[p] {
 				continue
@@ -203,6 +209,40 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// everything we are running.
 	withdrawalsAfter := time.Now().Add(ttl)
 
+	// beat heartbeats the registry and reconciles against its answer,
+	// reporting whether an answer arrived.
+	beat := func() bool {
+		seq++
+		ps, err := cfg.Registry.WorkerBeat(ctx, id, token, seq)
+		switch {
+		case err == nil:
+			beatFailing = false
+			reconcile(ps, time.Now().After(withdrawalsAfter))
+			return true
+		case errors.Is(err, leasesvc.ErrFenced), errors.Is(err, leasesvc.ErrUnknown):
+			// Superseded (or the registry restarted and forgot us):
+			// take the identity back. Running placements keep
+			// running — their shard leases, not this registration,
+			// carry correctness.
+			logf("worker %s: registration superseded (%v); re-registering", id, err)
+			g, rerr := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
+			if rerr != nil {
+				logf("worker %s: re-register: %v", id, rerr)
+				return false
+			}
+			token, seq = g.Token, 0
+			withdrawalsAfter = time.Now().Add(ttl)
+		case errors.Is(err, context.Canceled):
+			// The ctx arm will handle shutdown.
+		default:
+			if !beatFailing {
+				beatFailing = true
+				logf("worker %s: heartbeat failing (%v); placements keep running, leases carry correctness", id, err)
+			}
+		}
+		return false
+	}
+
 	for {
 		select {
 		case <-ctx.Done():
@@ -229,35 +269,17 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				failedAt[f.p] = time.Now()
 				logf("worker %s: shard %d/%d failed: %v", id, f.p.Shard, f.p.Of, f.err)
 			}
-			startEligible()
-		case <-ticker.C:
-			seq++
-			ps, err := cfg.Registry.WorkerBeat(ctx, id, token, seq)
-			switch {
-			case err == nil:
-				beatFailing = false
-				reconcile(ps, time.Now().After(withdrawalsAfter))
-			case errors.Is(err, leasesvc.ErrFenced), errors.Is(err, leasesvc.ErrUnknown):
-				// Superseded (or the registry restarted and forgot us):
-				// take the identity back. Running placements keep
-				// running — their shard leases, not this registration,
-				// carry correctness.
-				logf("worker %s: registration superseded (%v); re-registering", id, err)
-				g, rerr := cfg.Registry.RegisterWorker(ctx, id, owner, slots, ttl)
-				if rerr != nil {
-					logf("worker %s: re-register: %v", id, rerr)
-					continue
-				}
-				token, seq = g.Token, 0
-				withdrawalsAfter = time.Now().Add(ttl)
-			case errors.Is(err, context.Canceled):
-				// The ctx arm will handle shutdown.
-			default:
-				if !beatFailing {
-					beatFailing = true
-					logf("worker %s: heartbeat failing (%v); placements keep running, leases carry correctness", id, err)
-				}
+			// Start queued work from a fresh answer, not the list the
+			// last beat delivered: the scheduler may have moved a
+			// queued placement to another worker since, and starting
+			// it here would run the shard twice across a fencing
+			// handover. Without an answer, the cached list is all we
+			// have.
+			if len(pending) > 0 && !beat() {
+				startEligible()
 			}
+		case <-ticker.C:
+			beat()
 		}
 	}
 }
