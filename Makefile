@@ -131,11 +131,14 @@ chaos-fleet:
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./cmd/rhserved/
 
-# Short fuzz pass over the checkpoint parsers and the CRC trailer
-# codec; the committed corpora under internal/campaign/testdata/fuzz
-# replay on every plain `go test`.
+# Short fuzz pass over the checkpoint readers, the OpenCheckpoint
+# resume path, the CRC trailer codec and the shard fence-file parser;
+# the committed corpora under each package's testdata/fuzz replay on
+# every plain `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
+	$(GO) test -fuzz FuzzOpenCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
+	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
 
 check: build vet test race

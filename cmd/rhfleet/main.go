@@ -257,12 +257,34 @@ rhfleet processes per checkpoint.
 		exit(0)
 	}
 
-	resumeRecs := map[string]rh.CampaignRecord{}
-	if *resume != "" {
-		rep, err := campaign.LoadCheckpointReport(*resume, campaign.ResumeOptions{ExpectSpec: &cs})
-		if err != nil {
-			fatal(fmt.Errorf("loading resume checkpoint: %w", err))
+	// Resume into the same file appends, so the checkpoint stays a
+	// complete record of the campaign; otherwise -out starts fresh.
+	// Every path writes the v2 format: header line + CRC32C per record.
+	var rep *campaign.ResumeReport
+	var cw *rh.CampaignCheckpointWriter
+	switch *resume {
+	case "":
+		cw, err = campaign.CreateCheckpoint(*out, cs)
+	case *out:
+		rep, cw, err = campaign.OpenCheckpoint(*out, cs, 0, 0)
+	default:
+		rep, err = campaign.LoadCheckpointReport(*resume, campaign.ResumeOptions{ExpectSpec: &cs})
+		if err == nil && rep.Header != nil {
+			err = rep.Header.CheckShard(0, 0)
 		}
+		if err == nil {
+			cw, err = campaign.CreateCheckpoint(*out, cs)
+		}
+	}
+	if err != nil {
+		fatal(fmt.Errorf("opening checkpoint: %w", err))
+	}
+	var resumeRecs map[string]rh.CampaignRecord
+	switch {
+	case rep == nil:
+	case rep.Lines == 0:
+		fmt.Fprintf(os.Stderr, "rhfleet: no checkpoint at %s; starting fresh\n", *resume)
+	default:
 		resumeRecs = rep.Records
 		fmt.Fprintf(os.Stderr, "rhfleet: resuming with %d checkpointed records from %s (format v%d)\n",
 			len(rep.Records), *resume, rep.Version)
@@ -277,19 +299,6 @@ rhfleet processes per checkpoint.
 			fmt.Fprintf(os.Stderr, "rhfleet: %d corrupt checkpoint line(s) quarantined to %s; their jobs will be re-run\n",
 				rep.CorruptRecords, rep.QuarantinePath)
 		}
-	}
-
-	// Append when resuming into the same file so the checkpoint stays a
-	// complete record of the campaign; otherwise start fresh. Both paths
-	// write the v2 format: header line + CRC32C per record.
-	var cw *rh.CampaignCheckpointWriter
-	if *resume == *out {
-		cw, err = campaign.AppendCheckpoint(*out, cs)
-	} else {
-		cw, err = campaign.CreateCheckpoint(*out, cs)
-	}
-	if err != nil {
-		fatal(err)
 	}
 	defer cw.Close()
 	armFailpoint(cw, os.Getenv("RHFLEET_FAILPOINT"))

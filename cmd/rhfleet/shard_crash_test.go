@@ -225,7 +225,8 @@ func TestCrashShardCoordinatorKillResume(t *testing.T) {
 
 // TestCrashShardMergeRejectsForeignCampaign smuggles a shard
 // checkpoint from a different campaign into a shard directory and
-// requires -merge-shards to refuse with an error naming the file.
+// requires -merge-shards to refuse with an error naming the file. It
+// also requires a whole-campaign -resume to refuse a shard file.
 func TestCrashShardMergeRejectsForeignCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real subprocesses")
@@ -234,6 +235,15 @@ func TestCrashShardMergeRejectsForeignCampaign(t *testing.T) {
 	sumA, sumB := filepath.Join(dirA, "s.json"), filepath.Join(dirB, "s.json")
 	if code, killed, errOut := runCoord(t, nil, coordArgs(dirA, sumA, 2)...); code != 0 || killed {
 		t.Fatalf("campaign A: exit %d killed=%v\n%s", code, killed, errOut)
+	}
+	// A whole-campaign resume from a shard file into a fresh -out must
+	// refuse it, exactly as a same-file resume does, rather than adopt
+	// one shard's slice as the whole campaign.
+	a0 := shard.CheckpointPath(dirA, shard.Assignment{Index: 0, Of: 2})
+	code, killed, errOut := runCoord(t, nil, "-mfrs", "A,B,C,D", "-modules", "4", "-exp", "hcfirst",
+		"-scale", "tiny", "-seed", "7", "-quiet", "-resume", a0, "-out", filepath.Join(t.TempDir(), "whole.jsonl"))
+	if killed || code != 1 || !strings.Contains(errOut, "different shard assignment") {
+		t.Fatalf("resume of a shard file as the whole campaign: exit %d killed=%v, want 1 and a shard mismatch\n%s", code, killed, errOut)
 	}
 	argsB := coordArgs(dirB, sumB, 2)
 	argsB = append(argsB, "-seed", "1234") // later flag wins: different campaign identity
@@ -249,7 +259,7 @@ func TestCrashShardMergeRejectsForeignCampaign(t *testing.T) {
 	if err := os.WriteFile(a1, b1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, killed, errOut := runCoord(t, nil, "-merge-shards", "-shard-dir", dirA, "-quiet")
+	code, killed, errOut = runCoord(t, nil, "-merge-shards", "-shard-dir", dirA, "-quiet")
 	if killed || code != 1 {
 		t.Fatalf("merge of mixed campaigns: exit %d killed=%v, want 1\n%s", code, killed, errOut)
 	}

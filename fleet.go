@@ -3,7 +3,6 @@ package rowhammer
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"rowhammer/internal/campaign"
@@ -88,16 +87,16 @@ type CampaignSpec struct {
 // CampaignOptions controls checkpointing and progress reporting.
 type CampaignOptions struct {
 	// Records, when non-nil, receives every finished record; use
-	// CreateCampaignCheckpoint or AppendCampaignCheckpoint to stream
-	// the crash-safe v2 checkpoint format.
+	// CreateCampaignCheckpoint, or OpenCampaignCheckpoint to resume, to
+	// stream the crash-safe v2 checkpoint format.
 	Records CampaignRecordWriter
 	// Drain, when non-nil and closed (or signalled), stops dispatching
 	// new jobs: in-flight jobs finish and are checkpointed, then
 	// RunCampaign returns ErrCampaignDrained if work remains — the
 	// graceful-shutdown half of the kill-anywhere guarantee.
 	Drain <-chan struct{}
-	// Resume holds records of a previous run (LoadCampaignCheckpoint);
-	// their jobs are skipped.
+	// Resume holds records of a previous run (the Records of
+	// OpenCampaignCheckpoint's report); their jobs are skipped.
 	Resume map[string]CampaignRecord
 	// Progress, when non-nil, is called after every finished job.
 	Progress func(done, total int, rec CampaignRecord)
@@ -204,16 +203,20 @@ func CreateCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignCheckpoi
 	return campaign.CreateCheckpoint(path, cs)
 }
 
-// AppendCampaignCheckpoint opens an existing checkpoint for appending
-// after verifying it belongs to this campaign (ErrCampaignSpecMismatch
-// otherwise); a file torn mid-record by a crash is newline-isolated so
-// the fragment cannot corrupt the first new record.
-func AppendCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignCheckpointWriter, error) {
+// OpenCampaignCheckpoint opens a checkpoint to resume the campaign
+// from it and append to it, reading the file once: the report's
+// Records go to CampaignOptions.Resume and the writer to
+// CampaignOptions.Records. A checkpoint of another campaign is
+// refused (ErrCampaignSpecMismatch); corrupt interior lines are
+// quarantined to a .corrupt sidecar, and a file torn mid-record by a
+// crash is newline-isolated so the fragment cannot corrupt the first
+// new record. A missing file is a fresh checkpoint.
+func OpenCampaignCheckpoint(path string, spec CampaignSpec) (*CampaignResumeReport, *CampaignCheckpointWriter, error) {
 	cs, _, _, err := lowerSpec(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return campaign.AppendCheckpoint(path, cs)
+	return campaign.OpenCheckpoint(path, cs, 0, 0)
 }
 
 // LoadCampaignCheckpointReport reads a v1 or v2 checkpoint for resume.
@@ -248,20 +251,6 @@ func CompactCampaignCheckpoint(path string, spec *CampaignSpec) (*CampaignResume
 		return nil, err
 	}
 	return campaign.CompactCheckpointFile(path, &cs)
-}
-
-// LoadCampaignCheckpoint reads a JSONL checkpoint file for
-// CampaignOptions.Resume. A missing file yields an empty map. It is
-// the strict loader: any corrupt interior line is an error. Prefer
-// LoadCampaignCheckpointReport, which verifies the campaign identity
-// and quarantines corruption instead of failing.
-func LoadCampaignCheckpoint(path string) (map[string]CampaignRecord, error) {
-	return campaign.LoadCheckpointFile(path)
-}
-
-// WriteCampaignRecord appends one record to a JSONL checkpoint stream.
-func WriteCampaignRecord(w io.Writer, rec CampaignRecord) error {
-	return campaign.WriteRecord(w, rec)
 }
 
 // RunCampaign expands the spec into per-module jobs, runs them on a

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -88,11 +86,15 @@ func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var cp bytes.Buffer
+	cpPath := filepath.Join(t.TempDir(), "fleet.jsonl")
+	cw, err := CreateCampaignCheckpoint(cpPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var once sync.Once
 	var done atomic.Int64
 	res, err := RunCampaign(ctx, spec, CampaignOptions{
-		Records: v1Stream{&cp},
+		Records: cw,
 		Progress: func(_, _ int, rec CampaignRecord) {
 			if rec.Err == "" && done.Add(1) >= 5 {
 				once.Do(cancel)
@@ -105,18 +107,17 @@ func TestRunCampaignInterruptResumeBitIdentical(t *testing.T) {
 	if res == nil || res.Completed >= 16 {
 		t.Fatalf("campaign was not interrupted: %+v", res)
 	}
-
-	// Round-trip through the file loader so the test exercises the
-	// same path as rhfleet -resume.
-	cpPath := filepath.Join(t.TempDir(), "fleet.jsonl")
-	if err := os.WriteFile(cpPath, cp.Bytes(), 0o644); err != nil {
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resumeRecs, err := LoadCampaignCheckpoint(cpPath)
+
+	// Resume through the same single open pass rhfleet -resume uses.
+	rep, cw2, err := OpenCampaignCheckpoint(cpPath, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RunCampaign(context.Background(), spec, CampaignOptions{Resume: resumeRecs})
+	defer cw2.Close()
+	resumed, err := RunCampaign(context.Background(), spec, CampaignOptions{Records: cw2, Resume: rep.Records})
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
 	}
@@ -192,10 +193,3 @@ func TestSurveyPatternsHonorsCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
-
-// v1Stream adapts a plain writer to the campaign record sink by
-// writing the legacy v1 JSONL stream, which the resume loaders still
-// read.
-type v1Stream struct{ w io.Writer }
-
-func (s v1Stream) WriteRecord(rec CampaignRecord) error { return WriteCampaignRecord(s.w, rec) }

@@ -212,7 +212,7 @@ func (cw *CheckpointWriter) Sync() error {
 }
 
 // Close syncs and closes the underlying file when this writer owns
-// one (CreateCheckpoint/AppendCheckpoint).
+// one (CreateCheckpoint/OpenCheckpoint).
 func (cw *CheckpointWriter) Close() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -229,71 +229,82 @@ func (cw *CheckpointWriter) Close() error {
 // CreateCheckpoint creates (or truncates) path as a fresh v2
 // checkpoint for spec. The header is written with the first record.
 func CreateCheckpoint(path string, spec Spec) (*CheckpointWriter, error) {
-	return CreateShardCheckpoint(path, spec, 0, 0)
-}
-
-// CreateShardCheckpoint creates (or truncates) path as a fresh v2
-// checkpoint holding shard shard/of's slice of the campaign; of = 0
-// creates a whole-campaign checkpoint.
-func CreateShardCheckpoint(path string, spec Spec, shard, of int) (*CheckpointWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	cw := NewCheckpointWriter(f, spec)
-	cw.header.Shard, cw.header.Of = shard, of
 	cw.closer = f
 	return cw, nil
 }
 
-// AppendCheckpoint opens path for appending new records of the same
-// campaign. An existing v2 header is verified against spec
-// (ErrSpecMismatch protects against resuming into the wrong
-// campaign, ErrShardMismatch against adopting one shard's partial
-// slice as the whole campaign); a file killed mid-line gets a newline
-// first so the torn tail is isolated as one quarantinable line
-// instead of corrupting the first new record; an empty or headerless
-// (v1) file gets a v2 header before the first appended record.
-func AppendCheckpoint(path string, spec Spec) (*CheckpointWriter, error) {
-	return AppendShardCheckpoint(path, spec, 0, 0)
-}
-
-// AppendShardCheckpoint opens path for appending records of shard
-// shard/of of the campaign. The existing header — when present —
-// must carry both the campaign identity and the same shard
-// assignment: shard checkpoints from different campaigns or
-// different slices never silently interleave.
-func AppendShardCheckpoint(path string, spec Spec, shard, of int) (*CheckpointWriter, error) {
-	header, hasHeader, tornTail, err := scanCheckpointFile(path)
+// OpenCheckpoint is the one resume path: it opens path, reads it once
+// into the same report LoadCheckpointReport returns (ErrSpecMismatch
+// for a foreign campaign, corrupt lines quarantined to the sidecar),
+// verifies the header's shard assignment against shard/of (of = 0 is
+// the whole campaign; ErrShardMismatch otherwise), and returns a
+// writer appending to the same file. A file killed mid-line gets a
+// newline first so the torn tail is isolated as one quarantinable
+// line instead of corrupting the first new record; an empty or
+// headerless (v1) file gets a v2 header before the first appended
+// record. A missing file is a fresh checkpoint.
+func OpenCheckpoint(path string, spec Spec, shard, of int) (*ResumeReport, *CheckpointWriter, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if hasHeader {
-		want := HeaderForSpec(spec)
-		if header.Spec != want.Spec {
-			return nil, fmt.Errorf("%w: %s has spec %s (kind %s, %d mfrs × %d modules, seed %d), campaign has spec %s",
-				ErrSpecMismatch, path, header.Spec, header.Kind, len(header.Mfrs), header.ModulesPerMfr, header.Seed, want.Spec)
-		}
-		if header.Shard != shard || header.Of != of {
-			return nil, fmt.Errorf("%w: %s holds %s, this process is %s",
-				ErrShardMismatch, path, describeShard(header.Shard, header.Of), describeShard(shard, of))
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	rep, err := openReport(f, path, spec, shard, of)
 	if err != nil {
-		return nil, err
+		f.Close()
+		return nil, nil, err
 	}
 	cw := NewCheckpointWriter(f, spec)
 	cw.header.Shard, cw.header.Of = shard, of
 	cw.closer = f
-	cw.headerWritten = hasHeader
-	if tornTail {
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			f.Close()
+	cw.headerWritten = rep.Header != nil
+	return rep, cw, nil
+}
+
+// openReport is OpenCheckpoint's single pass over the open file.
+func openReport(f *os.File, path string, spec Spec, shard, of int) (*ResumeReport, error) {
+	rep, err := ReadCheckpointReport(f, ResumeOptions{ExpectSpec: &spec})
+	if err != nil {
+		return nil, err
+	}
+	if rep.Header != nil {
+		if err := rep.Header.CheckShard(shard, of); err != nil {
 			return nil, err
 		}
 	}
-	return cw, nil
+	if err := quarantine(path, rep); err != nil {
+		return nil, err
+	}
+	// The scan strips the final newline either way; check the raw tail.
+	info, err := f.Stat()
+	if err != nil || info.Size() == 0 {
+		return rep, err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, info.Size()-1); err != nil {
+		return nil, err
+	}
+	if last[0] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// CheckShard verifies that a checkpoint with header h may be resumed
+// by a process running shard shard/of (of = 0: the whole campaign).
+// It is the only place an ErrShardMismatch is built.
+func (h CheckpointHeader) CheckShard(shard, of int) error {
+	if h.Shard == shard && h.Of == of {
+		return nil
+	}
+	return fmt.Errorf("%w: checkpoint holds %s, this process is %s",
+		ErrShardMismatch, describeShard(h.Shard, h.Of), describeShard(shard, of))
 }
 
 // describeShard names a header's shard assignment for error messages.
@@ -302,46 +313,6 @@ func describeShard(shard, of int) string {
 		return "the whole campaign"
 	}
 	return fmt.Sprintf("shard %d/%d", shard, of)
-}
-
-// scanCheckpointFile reports the first valid v2 header of path (if
-// any) and whether the file ends mid-line (torn tail, no trailing
-// newline). A missing file is an empty one.
-func scanCheckpointFile(path string) (header CheckpointHeader, hasHeader, tornTail bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return CheckpointHeader{}, false, false, nil
-		}
-		return CheckpointHeader{}, false, false, err
-	}
-	defer f.Close()
-	var lastByte byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !hasHeader {
-			if h, ok := parseHeaderLine(line); ok {
-				header, hasHeader = *h, true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return CheckpointHeader{}, false, false, err
-	}
-	// Scanner strips the final newline either way; check the raw tail.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		b := []byte{0}
-		if _, err := f.ReadAt(b, info.Size()-1); err == nil {
-			lastByte = b[0]
-		}
-		tornTail = lastByte != '\n'
-	}
-	return header, hasHeader, tornTail, nil
 }
 
 // WriteRecord appends one v1 (plain JSONL) record to a checkpoint
@@ -399,7 +370,7 @@ type ResumeReport struct {
 	// Header is the v2 header, when present.
 	Header *CheckpointHeader
 	// Records maps job key → adopted record (see the precedence rule
-	// in ReadCheckpoint's doc comment).
+	// in ReadCheckpointReport's doc comment).
 	Records map[string]Record
 	// Lines counts non-blank lines scanned.
 	Lines int
@@ -417,7 +388,8 @@ type ResumeReport struct {
 	// the expected artifact of a crash mid-write — and was skipped.
 	TornFinal bool
 	// QuarantinePath is the .corrupt sidecar written by
-	// LoadCheckpointReport when corrupt lines were found.
+	// LoadCheckpointReport or OpenCheckpoint when corrupt lines were
+	// found.
 	QuarantinePath string
 }
 
@@ -434,26 +406,6 @@ type ResumeReport struct {
 // failure, and a later success replaces an earlier success (the
 // rewrite is counted in DuplicateRecords either way).
 func ReadCheckpointReport(r io.Reader, opts ResumeOptions) (*ResumeReport, error) {
-	return readCheckpoint(r, opts, false)
-}
-
-// ReadCheckpoint parses a JSONL checkpoint stream into a key→record
-// map suitable for Options.Done, accepting both v1 and v2 formats.
-// It applies the same duplicate-key precedence as ReadCheckpointReport
-// (later wins; success is never replaced by failure). A torn trailing
-// line — the usual artifact of killing a run mid-write — is tolerated
-// and skipped; torn or corrupt interior lines are reported as errors.
-// Resume paths that should survive interior corruption use
-// ReadCheckpointReport, which quarantines instead.
-func ReadCheckpoint(r io.Reader) (map[string]Record, error) {
-	rep, err := readCheckpoint(r, ResumeOptions{}, true)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Records, nil
-}
-
-func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport, error) {
 	maxKeep := opts.MaxQuarantinedLines
 	if maxKeep <= 0 {
 		maxKeep = 64
@@ -464,31 +416,20 @@ func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport
 	line := 0
 	// One bad line is held pending: if it turns out to be the final
 	// line it is a torn write and is forgiven; if more lines follow it
-	// is interior corruption — fatal in strict mode, quarantined in
-	// report mode.
+	// is interior corruption and is quarantined.
 	var pending *CorruptLine
-	flushPending := func() error {
-		if pending == nil {
-			return nil
-		}
-		if strict {
-			return fmt.Errorf("campaign: checkpoint line %d: %s", pending.Line, pending.Reason)
-		}
-		rep.CorruptRecords++
-		if len(rep.Corrupt) < maxKeep {
-			rep.Corrupt = append(rep.Corrupt, *pending)
-		}
-		pending = nil
-		return nil
-	}
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		if err := flushPending(); err != nil {
-			return nil, err
+		if pending != nil {
+			rep.CorruptRecords++
+			if len(rep.Corrupt) < maxKeep {
+				rep.Corrupt = append(rep.Corrupt, *pending)
+			}
+			pending = nil
 		}
 		rep.Lines++
 		if bytes.HasPrefix(raw, []byte(checkpointHeaderPrefix)) {
@@ -534,20 +475,22 @@ func readCheckpoint(r io.Reader, opts ResumeOptions, strict bool) (*ResumeReport
 	return rep, nil
 }
 
-// LoadCheckpointFile reads a JSONL checkpoint from disk with strict
-// (ReadCheckpoint) semantics. A missing file yields an empty map, so
-// "resume from a checkpoint that does not exist yet" degrades to a
-// fresh run.
-func LoadCheckpointFile(path string) (map[string]Record, error) {
-	f, err := os.Open(path)
+// ReadCheckpoint parses a JSONL checkpoint stream into a key→record
+// map suitable for Options.Done, accepting both v1 and v2 formats.
+// It is ReadCheckpointReport without quarantine: a torn trailing line
+// — the usual artifact of killing a run mid-write — is tolerated and
+// skipped, but any corrupt interior line fails the read, naming the
+// first one.
+func ReadCheckpoint(r io.Reader) (map[string]Record, error) {
+	rep, err := ReadCheckpointReport(r, ResumeOptions{})
 	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]Record{}, nil
-		}
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	if rep.CorruptRecords > 0 {
+		c := rep.Corrupt[0]
+		return nil, fmt.Errorf("campaign: checkpoint line %d: %s", c.Line, c.Reason)
+	}
+	return rep.Records, nil
 }
 
 // LoadCheckpointReport reads a checkpoint from disk for resume. A
@@ -556,6 +499,7 @@ func LoadCheckpointFile(path string) (map[string]Record, error) {
 // sidecar — a summary header followed by the offending lines verbatim
 // — so damaged measurements are preserved for forensics instead of
 // silently dropped, and the report's QuarantinePath names the sidecar.
+// A resume that will append to the file uses OpenCheckpoint instead.
 func LoadCheckpointReport(path string, opts ResumeOptions) (*ResumeReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -569,27 +513,38 @@ func LoadCheckpointReport(path string, opts ResumeOptions) (*ResumeReport, error
 	if err != nil {
 		return nil, err
 	}
-	if rep.CorruptRecords > 0 {
-		sidecar := path + ".corrupt"
-		var buf bytes.Buffer
-		sum, _ := json.Marshal(struct {
-			Source    string `json:"source"`
-			Corrupt   int    `json:"corrupt_records"`
-			Retained  int    `json:"retained_lines"`
-			TornFinal bool   `json:"torn_final"`
-		}{path, rep.CorruptRecords, len(rep.Corrupt), rep.TornFinal})
-		fmt.Fprintf(&buf, "#rhckpt-quarantine%s\n", sum)
-		for _, c := range rep.Corrupt {
-			fmt.Fprintf(&buf, "# line %d: %s\n", c.Line, c.Reason)
-			buf.Write(c.Raw)
-			buf.WriteByte('\n')
-		}
-		if err := durable.AtomicWriteFile(sidecar, buf.Bytes(), 0o644); err != nil {
-			return nil, fmt.Errorf("campaign: writing quarantine sidecar: %w", err)
-		}
-		rep.QuarantinePath = sidecar
+	if err := quarantine(path, rep); err != nil {
+		return nil, err
 	}
 	return rep, nil
+}
+
+// quarantine publishes rep's corrupt lines to path's .corrupt sidecar
+// and records its name in rep.QuarantinePath; a clean report writes
+// nothing.
+func quarantine(path string, rep *ResumeReport) error {
+	if rep.CorruptRecords == 0 {
+		return nil
+	}
+	sidecar := path + ".corrupt"
+	var buf bytes.Buffer
+	sum, _ := json.Marshal(struct {
+		Source    string `json:"source"`
+		Corrupt   int    `json:"corrupt_records"`
+		Retained  int    `json:"retained_lines"`
+		TornFinal bool   `json:"torn_final"`
+	}{path, rep.CorruptRecords, len(rep.Corrupt), rep.TornFinal})
+	fmt.Fprintf(&buf, "#rhckpt-quarantine%s\n", sum)
+	for _, c := range rep.Corrupt {
+		fmt.Fprintf(&buf, "# line %d: %s\n", c.Line, c.Reason)
+		buf.Write(c.Raw)
+		buf.WriteByte('\n')
+	}
+	if err := durable.AtomicWriteFile(sidecar, buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("campaign: writing quarantine sidecar: %w", err)
+	}
+	rep.QuarantinePath = sidecar
+	return nil
 }
 
 // CompactCheckpointFile rewrites path as a fresh v2 checkpoint

@@ -253,7 +253,7 @@ func TestCheckpointDuplicatePrecedenceRule(t *testing.T) {
 	}
 }
 
-func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
+func TestOpenCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	spec := v2Spec()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cw, err := CreateCheckpoint(path, spec)
@@ -270,13 +270,13 @@ func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	// Appending under a different campaign identity is refused.
 	other := spec
 	other.Seed++
-	if _, err := AppendCheckpoint(path, other); !errors.Is(err, ErrSpecMismatch) {
+	if _, _, err := OpenCheckpoint(path, other, 0, 0); !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("append with wrong spec: want ErrSpecMismatch, got %v", err)
 	}
 
 	// Appending under the same identity accumulates records without a
 	// second header.
-	cw2, err := AppendCheckpoint(path, spec)
+	_, cw2, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +300,26 @@ func TestAppendCheckpointVerifiesHeaderAndAccumulates(t *testing.T) {
 	if n := bytes.Count(raw, []byte("#rhckpt")); n != 1 {
 		t.Fatalf("file has %d headers, want exactly 1", n)
 	}
+
+	// A whole-campaign resume refuses one shard's slice of the same
+	// campaign.
+	shardPath := filepath.Join(t.TempDir(), "shard.jsonl")
+	_, sw, err := OpenCheckpoint(shardPath, spec, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenCheckpoint(shardPath, spec, 0, 0); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("whole-campaign open of a shard file: want ErrShardMismatch, got %v", err)
+	}
 }
 
-func TestAppendCheckpointIsolatesTornTail(t *testing.T) {
+func TestOpenCheckpointIsolatesTornTail(t *testing.T) {
 	spec := v2Spec()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cw, err := CreateCheckpoint(path, spec)
@@ -323,7 +340,7 @@ func TestAppendCheckpointIsolatesTornTail(t *testing.T) {
 	f.WriteString(`{"key":"hcfirst/A/1","metr`)
 	f.Close()
 
-	cw2, err := AppendCheckpoint(path, spec)
+	_, cw2, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +426,12 @@ func TestCompactCheckpointFile(t *testing.T) {
 	if rep2.Records["hcfirst/A/0"].Metrics["x"] != 10 || rep2.Records["hcfirst/A/1"].Metrics["x"] != 2 {
 		t.Fatalf("compaction lost precedence: %+v", rep2.Records)
 	}
-	if _, err := LoadCheckpointFile(path); err != nil {
+	compacted, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer compacted.Close()
+	if _, err := ReadCheckpoint(compacted); err != nil {
 		t.Fatalf("strict reader on compacted file: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // failpoint that SIGKILLs the process after exactly RH_CRASH_FAILPOINT
 // checkpoint bytes (-1 disarms), and on a full run publishes the
 // summary to RH_CRASH_SUMMARY via the atomic writer — the same
-// load/append/publish sequence rhfleet performs.
+// open/append/publish sequence rhfleet performs.
 func TestCrashHelperProcess(t *testing.T) {
 	if os.Getenv("RH_CAMPAIGN_CRASH_HELPER") != "1" {
 		t.Skip("subprocess body; driven by TestCrashSIGKILLRandomPoints")
@@ -36,13 +36,9 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	spec := crashSpec()
 	path := os.Getenv("RH_CRASH_CKPT")
-	rep, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+	rep, cw, err := OpenCheckpoint(path, spec, 0, 0)
 	if err != nil {
-		die("load checkpoint", err)
-	}
-	cw, err := AppendCheckpoint(path, spec)
-	if err != nil {
-		die("append checkpoint", err)
+		die("open checkpoint", err)
 	}
 	if off, err := strconv.ParseInt(os.Getenv("RH_CRASH_FAILPOINT"), 10, 64); err == nil && off >= 0 {
 		cw.Wrap(func(w io.Writer) io.Writer {

@@ -72,7 +72,7 @@ type Options struct {
 	// (successful or failed) as it completes — this is how the v2
 	// CRC-trailered CheckpointWriter plugs into the engine.
 	Records RecordWriter
-	// Done holds records from a previous run (see ReadCheckpoint);
+	// Done holds records from a previous run (see OpenCheckpoint);
 	// successful entries are adopted without re-running their jobs.
 	Done map[string]Record
 	// Only, when non-nil, restricts the run to the jobs whose keys it

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -17,12 +20,13 @@ func fuzzSeedStream() []byte {
 // FuzzReadCheckpoint feeds arbitrary bytes to both checkpoint readers.
 // Invariants: no input panics; quarantine retention stays bounded; and
 // when the strict reader accepts an input, the report reader agrees
-// with it record-for-record (they share one parser and one precedence
-// rule, and must never drift apart).
+// with it record-for-record. ReadCheckpoint is a thin wrapper that
+// refuses any quarantined line, so this pins the wrapper to the one
+// parser and precedence rule underneath it.
 func FuzzReadCheckpoint(f *testing.F) {
 	valid := fuzzSeedStream()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-9]) // torn final record
+	f.Add(valid[:len(valid)-9])                                              // torn final record
 	f.Add([]byte(`{"key":"hcfirst/A/0","kind":"hcfirst","mfr":"A"}` + "\n")) // v1
 	f.Add([]byte("#rhckpt{\"v\":2,\"spec\":\"0123456789abcdef\"}\tdeadbeef\n"))
 	f.Add([]byte("not json\tnothex99\n\n\tcafe1234\n"))
@@ -51,6 +55,80 @@ func FuzzReadCheckpoint(f *testing.F) {
 					t.Fatalf("readers disagree on record %q", k)
 				}
 			}
+		}
+	})
+}
+
+// FuzzOpenCheckpoint writes arbitrary bytes as an existing checkpoint
+// file and resumes it through OpenCheckpoint as the whole campaign.
+// Invariants: the open succeeds exactly when ReadCheckpointReport with
+// the same ExpectSpec succeeds, bar a shard-assignment refusal, and
+// both adopt the same number of records; after one fresh success
+// record is appended, the reloaded file adopts it, still adopts every
+// record adopted before the append, and carries a v2 header — a torn
+// or headerless tail never swallows the first resumed write.
+func FuzzOpenCheckpoint(f *testing.F) {
+	spec := testSpec([]string{"A"}, 2)
+	valid := fuzzSeedStream()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9]) // torn final record
+	f.Add([]byte{})
+	f.Add([]byte(`{"key":"hcfirst/A/0","kind":"hcfirst","mfr":"A"}` + "\n"))            // v1
+	f.Add([]byte(`{"key":"hcfirst/A/0","kind":"hcfirst","mfr":"A","metrics":{"x":1}}`)) // v1, no newline
+	var shardFile bytes.Buffer
+	sw := NewCheckpointWriter(&shardFile, spec)
+	sw.header.Shard, sw.header.Of = 1, 2
+	sw.WriteRecord(Record{Key: "hcfirst/A/1", Kind: KindHCFirst, Mfr: "A", Module: 1, Metrics: map[string]float64{"x": 2}})
+	f.Add(shardFile.Bytes())
+	var foreign bytes.Buffer
+	other := spec
+	other.Seed++
+	NewCheckpointWriter(&foreign, other).WriteHeader()
+	f.Add(foreign.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, rerr := ReadCheckpointReport(bytes.NewReader(data), ResumeOptions{ExpectSpec: &spec})
+		rep, cw, err := OpenCheckpoint(path, spec, 0, 0)
+		switch {
+		case rerr != nil && err == nil:
+			cw.Close()
+			t.Fatalf("open accepted what the reader rejected: %v", rerr)
+		case rerr != nil:
+			return
+		case errors.Is(err, ErrShardMismatch):
+			return
+		case err != nil:
+			t.Fatalf("open rejected what the reader accepted: %v", err)
+		}
+		if len(rep.Records) != len(want.Records) {
+			cw.Close()
+			t.Fatalf("open adopted %d records, reader %d", len(rep.Records), len(want.Records))
+		}
+		fresh := Record{Key: "hcfirst/fuzz/fresh", Kind: KindHCFirst, Mfr: "fuzz", Metrics: map[string]float64{"x": 42}}
+		if err := cw.WriteRecord(fresh); err != nil {
+			cw.Close()
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := LoadCheckpointReport(path, ResumeOptions{ExpectSpec: &spec})
+		if err != nil {
+			t.Fatalf("reload after append: %v", err)
+		}
+		if got, ok := after.Records[fresh.Key]; !ok || got.Failed() || got.Metrics["x"] != 42 {
+			t.Fatalf("appended record not adopted: %+v (present %v)", got, ok)
+		}
+		for k := range rep.Records {
+			if _, ok := after.Records[k]; !ok {
+				t.Fatalf("record %q adopted before the append is lost after it", k)
+			}
+		}
+		if after.Header == nil {
+			t.Fatal("appended checkpoint has no v2 header")
 		}
 	})
 }

@@ -440,8 +440,7 @@ func (m *Manager) runCampaign(r *runState) {
 		r.update(func(s *Status) { s.State = StateDrained })
 	default:
 		m.cfg.Log("campaign %s failed: %v", r.id, err)
-		r.update(func(s *Status) { s.State = StateFailed; s.Error = err.Error() })
-		m.persistStatus(r)
+		m.terminate(r, func(s *Status) { s.State = StateFailed; s.Error = err.Error() })
 	}
 }
 
@@ -453,29 +452,15 @@ func (m *Manager) execute(r *runState) error {
 	cs := r.resolved.Spec
 	ckpt := filepath.Join(r.dir, "ckpt.jsonl")
 
-	var done map[string]campaign.Record
-	var cw *campaign.CheckpointWriter
-	if _, statErr := os.Stat(ckpt); statErr == nil {
-		rep, err := campaign.LoadCheckpointReport(ckpt, campaign.ResumeOptions{ExpectSpec: &cs})
-		if err != nil {
-			return fmt.Errorf("resume %s: %w", ckpt, err)
-		}
-		done = rep.Records
-		if len(done) > 0 {
-			m.cfg.Log("campaign %s resuming with %d checkpointed records", r.id, len(done))
-		}
-		cw, err = campaign.AppendCheckpoint(ckpt, cs)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		cw, err = campaign.CreateCheckpoint(ckpt, cs)
-		if err != nil {
-			return err
-		}
+	rep, cw, err := campaign.OpenCheckpoint(ckpt, cs, 0, 0)
+	if err != nil {
+		return fmt.Errorf("resume %s: %w", ckpt, err)
 	}
 	defer cw.Close()
+	done := rep.Records
+	if len(done) > 0 {
+		m.cfg.Log("campaign %s resuming with %d checkpointed records", r.id, len(done))
+	}
 
 	r.update(func(s *Status) { s.State = StateRunning })
 	opts := campaign.Options{
@@ -513,8 +498,7 @@ func (m *Manager) finish(r *runState, res *campaign.Result) error {
 		return fmt.Errorf("campaign %s: publishing artifact: %w", r.id, err)
 	}
 	m.cfg.Log("campaign %s done: artifact %s (%d bytes)", r.id, meta.ID, meta.Bytes)
-	r.update(func(s *Status) { s.State = StateDone; s.ArtifactID = meta.ID })
-	m.persistStatus(r)
+	m.terminate(r, func(s *Status) { s.State = StateDone; s.ArtifactID = meta.ID })
 	return nil
 }
 
@@ -680,13 +664,13 @@ func (m *Manager) ingest(r *runState, res *campaign.Result) (store.Meta, error) 
 	return m.store.Put(meta, payload)
 }
 
-// persistStatus records a terminal status atomically so restarts
-// serve it without re-running the campaign.
-func (m *Manager) persistStatus(r *runState) {
+// terminate applies the terminal transition f to r. The terminal
+// status is recorded atomically before it is published, so restarts
+// serve it without re-running the campaign and a client that sees it
+// always finds it on disk.
+func (m *Manager) terminate(r *runState, f func(*Status)) {
 	st := r.snapshot()
-	if !st.Terminal() {
-		return
-	}
+	f(&st)
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err == nil {
 		err = durable.AtomicWriteFile(filepath.Join(r.dir, "status.json"), append(b, '\n'), 0o644)
@@ -694,6 +678,7 @@ func (m *Manager) persistStatus(r *runState) {
 	if err != nil {
 		m.cfg.Log("campaign %s: persisting status: %v", r.id, err)
 	}
+	r.update(f)
 }
 
 // Draining reports whether graceful shutdown has begun — the health

@@ -239,9 +239,10 @@ func shardMissing(spec campaign.Spec, a Assignment, ckptPath string) (missing []
 		if lerr != nil {
 			return nil, true, fmt.Errorf("shard %s: %s: %w", a, ckptPath, lerr)
 		}
-		if h := rep.Header; h != nil && (h.Shard != a.Index || h.Of != a.Of) {
-			return nil, true, fmt.Errorf("%w: %s holds shard %d/%d, expected %s",
-				campaign.ErrShardMismatch, ckptPath, h.Shard, h.Of, a)
+		if h := rep.Header; h != nil {
+			if err := h.CheckShard(a.Index, a.Of); err != nil {
+				return nil, true, fmt.Errorf("shard %s: %s: %w", a, ckptPath, err)
+			}
 		}
 		recs = rep.Records
 	} else if !errors.Is(statErr, os.ErrNotExist) {
