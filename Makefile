@@ -4,7 +4,7 @@ BENCHOUT ?= BENCH_pr8.json
 BENCHTHRESHOLD ?= 0.10
 BENCHSET ?= HammerThroughput|CampaignFleet|DisturbBatch|FlipApply
 
-.PHONY: all build test race vet bench bench-json bench-check bench-smoke perfbench-check golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
+.PHONY: all build test race vet bench paper-bench bench-json bench-check bench-smoke perfbench-check golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
 
 all: check
 
@@ -16,11 +16,12 @@ test:
 
 # Race-check the concurrent packages: the campaign engine, the
 # durability layer, the worker pool they are built on, the experiment
-# drivers that fan out per manufacturer, the serving tier (store +
-# campaign server, including the 1k-client load test), the fault
-# model (its sharded kernel cache is shared across parallel cores),
-# and the placement layer (lease service + worker registry, shard
-# coordinator/scheduler/worker loops).
+# registry (ComputeAll fans an experiment's shards out over that
+# pool), the serving tier (store + campaign server, including the
+# 1k-client load test), the fault model (its sharded kernel cache is
+# shared across parallel cores), and the placement layer (lease
+# service + worker registry, shard coordinator/scheduler/worker
+# loops).
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/durable/... ./internal/pool/... ./internal/exp/... \
 		./internal/store/... ./internal/server/... ./internal/faultmodel/... \
@@ -31,6 +32,12 @@ vet:
 
 bench:
 	$(GO) test -bench CampaignFleet -run '^$$' -benchtime 3x .
+
+# The paper benchmarks: one per table and figure of the evaluation,
+# each computing the experiment's merged artifact and reporting its
+# headline metrics (EXPERIMENTS.md records them against the paper).
+paper-bench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exp/
 
 # Benchmark-regression harness: run the tracked benchmarks (the two
 # end-to-end ones plus the batched disturb hot-path pair) and record
@@ -132,13 +139,14 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./cmd/rhserved/
 
 # Short fuzz pass over the checkpoint readers, the OpenCheckpoint
-# resume path, the CRC trailer codec and the shard fence-file parser;
-# the committed corpora under each package's testdata/fuzz replay on
-# every plain `go test`.
+# resume path, the CRC trailer codec, the shard fence-file parser and
+# campaign spec resolution; the committed corpora under each package's
+# testdata/fuzz replay on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzOpenCheckpoint -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzResolveSpec -fuzztime 30s ./internal/server/
 
 check: build vet test race

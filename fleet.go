@@ -161,7 +161,8 @@ func CampaignHeartbeat(ctx context.Context) { campaign.Heartbeat(ctx) }
 // change measured values without changing the job set, so a
 // checkpoint taken at one scale must not resume into another. A
 // malformed temperature grid (zero or negative step) is rejected here
-// with a typed *TempStepError before it can reach a sweep loop.
+// with a typed *TempStepError before it can reach a sweep loop, and so
+// is anything the engine spec's Normalize rejects.
 func lowerSpec(spec CampaignSpec) (campaign.Spec, Scale, Geometry, error) {
 	scale, geom := spec.Scale, spec.Geometry
 	if err := FillMeasureDefaults(&scale, &geom, nil, nil); err != nil {
@@ -185,10 +186,10 @@ func lowerSpec(spec CampaignSpec) (campaign.Spec, Scale, Geometry, error) {
 		Fingerprint:      fmt.Sprintf("%016x", rng.HashString(fmt.Sprintf("scale:%+v|geom:%+v", scale, geom))),
 	}
 	// Normalize now so the checkpoint header hash is computed over the
-	// same defaults the engine will run with; an invalid spec is passed
-	// through untouched and rejected by Run with a proper error.
-	if n, err := cs.Normalize(); err == nil {
-		cs = n
+	// same defaults the engine will run with.
+	cs, err := cs.Normalize()
+	if err != nil {
+		return campaign.Spec{}, scale, geom, err
 	}
 	return cs, scale, geom, nil
 }

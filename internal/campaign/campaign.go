@@ -153,7 +153,12 @@ func (s Spec) IdentityHash() string {
 	return fmt.Sprintf("%016x", rng.HashString(b.String()))
 }
 
-// Normalize fills Spec defaults and validates the kind.
+// MaxJobs bounds a campaign's job grid (manufacturers × modules), so a
+// submitted spec cannot make Expand allocate without limit.
+const MaxJobs = 1 << 20
+
+// Normalize fills Spec defaults and validates the kind and the grid
+// size.
 func (s Spec) Normalize() (Spec, error) {
 	if s.Kind == "" {
 		s.Kind = KindHCFirst
@@ -167,6 +172,11 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.ModulesPerMfr < 1 {
 		s.ModulesPerMfr = 4
+	}
+	// Divide rather than multiply so the check cannot overflow.
+	if s.ModulesPerMfr > MaxJobs/len(s.Mfrs) {
+		return s, fmt.Errorf("campaign: %d manufacturers × %d modules exceeds the %d-job limit",
+			len(s.Mfrs), s.ModulesPerMfr, MaxJobs)
 	}
 	if s.Seed == 0 {
 		s.Seed = 0x5eed

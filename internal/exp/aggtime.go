@@ -20,28 +20,17 @@ var (
 	aggOffGridNs = []float64{16.5, 22.5, 28.5, 34.5, 40.5}
 )
 
-// Fig6Result verifies the command timing of the three §6 test types.
-type Fig6Result struct {
-	// Spacings[test] lists ACT→PRE and PRE→ACT distances measured
-	// from the executor trace, for "baseline", "aggressor-on",
-	// "aggressor-off".
-	OnSpacing, OffSpacing map[string]dram.Picos
-}
-
 // fig6Tests names the three §6 test types in print order.
 var fig6Tests = []string{"baseline", "aggressor-on", "aggressor-off"}
 
-// Fig6 builds the three §6 command sequences and measures the
-// ACT→PRE / PRE→ACT spacings from the executor trace.
-func Fig6(cfg Config) (Fig6Result, error) {
-	cfg = cfg.normalize()
-	res := Fig6Result{
-		OnSpacing:  make(map[string]dram.Picos),
-		OffSpacing: make(map[string]dram.Picos),
-	}
+// fig6Shard builds the three §6 command sequences and measures the
+// ACT→PRE / PRE→ACT spacings from the executor trace (single shard:
+// one trace).
+func fig6Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
 	b, err := rh.NewBench(rh.BenchConfig{Profile: rh.ProfileByName("A"), Seed: cfg.Seed, Geometry: cfg.Geometry})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	tm := b.Timing()
 	tests := []struct {
@@ -52,6 +41,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 		{"aggressor-on", dram.PicosFromNs(154.5), tm.TRP},
 		{"aggressor-off", tm.TRAS, dram.PicosFromNs(40.5)},
 	}
+	a := artifact.New(shard)
 	for _, tc := range tests {
 		bld := softmc.NewBuilder(tm.TCK)
 		// Settle any pending tRP/tRC from the previous sequence.
@@ -62,28 +52,13 @@ func Fig6(cfg Config) (Fig6Result, error) {
 		b.Exec.SetTrace(true)
 		tr, err := b.Exec.Run(bld.Program())
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		b.Exec.SetTrace(false)
 		// Trace: ACT PRE ACT PRE ACT PRE.
-		res.OnSpacing[tc.name] = tr.Trace[1].At - tr.Trace[0].At
-		res.OffSpacing[tc.name] = tr.Trace[2].At - tr.Trace[1].At
-	}
-	return res, nil
-}
-
-// fig6Shard measures the command spacings (single shard: one trace).
-func fig6Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := Fig6(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := artifact.New(shard)
-	for _, name := range fig6Tests {
-		a.AddRow("test="+name).Tag("test", name).
-			Set("on_ns", res.OnSpacing[name].Nanoseconds()).
-			Set("off_ns", res.OffSpacing[name].Nanoseconds())
+		a.AddRow("test="+tc.name).Tag("test", tc.name).
+			Set("on_ns", (tr.Trace[1].At-tr.Trace[0].At).Nanoseconds()).
+			Set("off_ns", (tr.Trace[2].At - tr.Trace[1].At).Nanoseconds())
 	}
 	return a, nil
 }
@@ -111,12 +86,14 @@ type AggTimePoint struct {
 	// BERs and HCs are per-(module,row) samples.
 	BERs []float64
 	HCs  []float64
-	// Box/letter statistics for the figure rendering.
+	// Box/letter statistics for the figure rendering, rebuilt from
+	// the samples by aggPoints.
 	BERBox stats.BoxPlot
 	HCLV   stats.LetterValues
 }
 
-// AggTimeResult is a full §6 sweep for all manufacturers.
+// AggTimeResult is the renderer's view of a §6 sweep for all
+// manufacturers, rebuilt from the merged artifact by aggResult.
 type AggTimeResult struct {
 	Mfrs   []string
 	Points [][]AggTimePoint // [mfr][gridIdx]
@@ -180,38 +157,8 @@ func aggSweepMfr(cfg Config, mfr string, gridNs []float64, onSweep bool) ([]AggT
 			}
 		}
 	}
-	for gi := range points {
-		if len(points[gi].BERs) > 0 {
-			points[gi].BERBox, _ = stats.NewBoxPlot(points[gi].BERs)
-		}
-		if len(points[gi].HCs) > 0 {
-			points[gi].HCLV, _ = stats.NewLetterValues(points[gi].HCs, 2)
-		}
-	}
 	return points, nil
 }
-
-// aggSweep runs the §6 measurement over a timing grid for all
-// manufacturers.
-func aggSweep(cfg Config, gridNs []float64, onSweep bool) (AggTimeResult, error) {
-	cfg = aggNormalize(cfg)
-	var res AggTimeResult
-	perMfr, err := mapMfrs(cfg, func(mfr string) ([]AggTimePoint, error) {
-		return aggSweepMfr(cfg, mfr, gridNs, onSweep)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	res.Points = perMfr
-	return res, nil
-}
-
-// AggOnSweep measures Figs. 7 and 8.
-func AggOnSweep(cfg Config) (AggTimeResult, error) { return aggSweep(cfg, aggOnGridNs, true) }
-
-// AggOffSweep measures Figs. 9 and 10.
-func AggOffSweep(cfg Config) (AggTimeResult, error) { return aggSweep(cfg, aggOffGridNs, false) }
 
 // MeanBERRatio returns mean BER at the last grid point over the first.
 func (r AggTimeResult) MeanBERRatio(mfrIdx int) float64 {
@@ -232,17 +179,6 @@ func (r AggTimeResult) MeanHCChange(mfrIdx int) float64 {
 		return 0
 	}
 	return stats.Mean(pts[len(pts)-1].HCs)/base - 1
-}
-
-// CVChange returns the fractional change of the BER coefficient of
-// variation from the first to the last grid point (Obsv. 9/11).
-func (r AggTimeResult) CVChange(mfrIdx int) float64 {
-	pts := r.Points[mfrIdx]
-	base := stats.CV(pts[0].BERs)
-	if base == 0 {
-		return 0
-	}
-	return stats.CV(pts[len(pts)-1].BERs)/base - 1
 }
 
 // aggShard returns the per-manufacturer Compute of one §6 sweep. The
@@ -268,8 +204,8 @@ func aggShard(gridNs []float64, onSweep bool) func(context.Context, Config, stri
 }
 
 // aggPoints rebuilds one manufacturer's sweep points from the
-// artifact, recomputing the derived statistics from the stored raw
-// samples with the same stats code the typed compute uses.
+// artifact, deriving the box and letter-value statistics from the
+// stored raw samples.
 func aggPoints(a *artifact.Artifact, mfr string) []AggTimePoint {
 	var points []AggTimePoint
 	for _, r := range a.RowsWithPrefix(mfrKey(mfr) + "/g=") {

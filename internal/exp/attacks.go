@@ -12,16 +12,6 @@ import (
 	"rowhammer/internal/defense"
 )
 
-// Attack1Result quantifies Improvement 1: informed (temperature-
-// targeted) vs uninformed victim-row choice.
-type Attack1Result struct {
-	Mfrs []string
-	// InformedHC/MedianHC at the attack temperature.
-	InformedHC, MedianHC []int64
-	// Reduction = 1 - informed/median.
-	Reduction []float64
-}
-
 // attack1Mfr profiles one manufacturer's candidate rows and compares
 // the informed choice against the median row.
 func attack1Mfr(cfg Config, mfr string) (best, median int64, err error) {
@@ -45,24 +35,6 @@ func attack1Mfr(cfg Config, mfr string) (best, median int64, err error) {
 		return 0, 0, err
 	}
 	return best, median, nil
-}
-
-// Attack1 profiles candidate rows across temperatures and compares
-// the informed choice against the median row.
-func Attack1(cfg Config) (Attack1Result, error) {
-	cfg = cfg.normalize()
-	var res Attack1Result
-	for _, mfr := range mfrNames {
-		best, median, err := attack1Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.InformedHC = append(res.InformedHC, best)
-		res.MedianHC = append(res.MedianHC, median)
-		res.Reduction = append(res.Reduction, 1-float64(best)/float64(median))
-	}
-	return res, nil
 }
 
 // attack1Shard measures one manufacturer's Improvement 1 numbers.
@@ -93,77 +65,6 @@ func renderAttack1(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Attack2Result quantifies Improvement 2: temperature-triggered
-// attacks.
-type Attack2Result struct {
-	Mfr string
-	// ExactCellFrac/AboveCellFrac are the shares of vulnerable cells
-	// usable as exact-temperature / at-or-above sensors for the target.
-	ExactCellFrac, AboveCellFrac float64
-	// TriggerWorks reports the end-to-end trigger demo outcome.
-	TriggerFound                  bool
-	FiredBelow, FiredAbove, Valid bool
-}
-
-// Attack2 finds trigger cells at 70 °C and demonstrates an at-or-above
-// trigger end to end on Mfr A.
-func Attack2(cfg Config) (Attack2Result, error) {
-	cfg = cfg.normalize()
-	res := Attack2Result{Mfr: "A"}
-	bs, err := benches(cfg, "A")
-	if err != nil {
-		return res, err
-	}
-	t := rh.NewTester(bs[0])
-	rows := sampleRows(cfg, tempSweepRows)
-	sweep, err := t.TemperatureSweep(rh.TempSweepConfig{
-		Bank: 0, Victims: rows, Hammers: 2 * cfg.Scale.Hammers,
-		Pattern: rh.PatCheckered, Repetitions: 1,
-	})
-	if err != nil {
-		return res, err
-	}
-	// Census of usable sensor cells at 70 °C.
-	targetIdx := 4 // 70 °C in the 50..90 grid
-	exact, above, total := 0, 0, 0
-	for _, mask := range sweep.Cells {
-		total++
-		lo, hi := maskLoHi(mask)
-		if lo == targetIdx && hi == targetIdx {
-			exact++
-		}
-		if lo >= targetIdx {
-			above++
-		}
-	}
-	if total > 0 {
-		res.ExactCellFrac = float64(exact) / float64(total)
-		res.AboveCellFrac = float64(above) / float64(total)
-	}
-
-	trig, err := attack.FindTrigger(sweep, attack.AtOrAbove, 70, 0, 2*cfg.Scale.Hammers, rh.PatCheckered)
-	if err != nil {
-		return res, nil // no trigger cell in this sample: census-only result
-	}
-	res.TriggerFound = true
-	if err := bs[0].SetTemperature(55); err != nil {
-		return res, err
-	}
-	res.FiredBelow, err = trig.Probe(t, 1)
-	if err != nil {
-		return res, err
-	}
-	if err := bs[0].SetTemperature(85); err != nil {
-		return res, err
-	}
-	res.FiredAbove, err = trig.Probe(t, 1)
-	if err != nil {
-		return res, err
-	}
-	res.Valid = !res.FiredBelow && res.FiredAbove
-	return res, nil
-}
-
 func maskLoHi(mask uint32) (lo, hi int) {
 	lo, hi = -1, -1
 	for i := 0; i < 32; i++ {
@@ -185,21 +86,69 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// attack2Shard measures Improvement 2 (single shard: the demo runs on
-// one Mfr A module end to end).
+// attack2Shard finds trigger cells at 70 °C and demonstrates an
+// at-or-above trigger end to end (single shard: the demo runs on one
+// Mfr A module).
 func attack2Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
 	cfg = cfg.WithContext(ctx).normalize()
-	res, err := Attack2(cfg)
+	const mfr = "A"
+	bs, err := benches(cfg, mfr)
 	if err != nil {
 		return nil, err
 	}
+	t := rh.NewTester(bs[0])
+	rows := sampleRows(cfg, tempSweepRows)
+	sweep, err := t.TemperatureSweepCtx(cfg.Ctx, rh.TempSweepConfig{
+		Bank: 0, Victims: rows, Hammers: 2 * cfg.Scale.Hammers,
+		Pattern: rh.PatCheckered, Repetitions: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Census of usable sensor cells at 70 °C: exact-temperature and
+	// at-or-above sensors for the target.
+	targetIdx := 4 // 70 °C in the 50..90 grid
+	exact, above, total := 0, 0, 0
+	for _, mask := range sweep.Cells {
+		total++
+		lo, hi := maskLoHi(mask)
+		if lo == targetIdx && hi == targetIdx {
+			exact++
+		}
+		if lo >= targetIdx {
+			above++
+		}
+	}
+	var exactFrac, aboveFrac float64
+	if total > 0 {
+		exactFrac = float64(exact) / float64(total)
+		aboveFrac = float64(above) / float64(total)
+	}
+	// The end-to-end demo needs a trigger cell; without one in this
+	// sample the result is census-only.
+	var found, firedBelow, firedAbove bool
+	if trig, err := attack.FindTrigger(sweep, attack.AtOrAbove, 70, 0, 2*cfg.Scale.Hammers, rh.PatCheckered); err == nil {
+		found = true
+		if err := bs[0].SetTemperature(55); err != nil {
+			return nil, err
+		}
+		if firedBelow, err = trig.Probe(t, 1); err != nil {
+			return nil, err
+		}
+		if err := bs[0].SetTemperature(85); err != nil {
+			return nil, err
+		}
+		if firedAbove, err = trig.Probe(t, 1); err != nil {
+			return nil, err
+		}
+	}
 	a := artifact.New(shard)
-	a.AddRow("trigger").Tag("mfr", res.Mfr).
-		Set("exact_frac", res.ExactCellFrac).Set("above_frac", res.AboveCellFrac).
-		SetInt("found", boolInt(res.TriggerFound)).
-		SetInt("fired_below", boolInt(res.FiredBelow)).
-		SetInt("fired_above", boolInt(res.FiredAbove)).
-		SetInt("valid", boolInt(res.Valid))
+	a.AddRow("trigger").Tag("mfr", mfr).
+		Set("exact_frac", exactFrac).Set("above_frac", aboveFrac).
+		SetInt("found", boolInt(found)).
+		SetInt("fired_below", boolInt(firedBelow)).
+		SetInt("fired_above", boolInt(firedAbove)).
+		SetInt("valid", boolInt(!firedBelow && firedAbove))
 	return a, nil
 }
 
@@ -218,23 +167,6 @@ func renderAttack2(out io.Writer, a *artifact.Artifact) error {
 	fmt.Fprintf(out, "trigger demo: fired@55°C=%v fired@85°C=%v → valid=%v\n",
 		r.Int("fired_below") != 0, r.Int("fired_above") != 0, r.Int("valid") != 0)
 	return nil
-}
-
-// Attack3Result quantifies Improvement 3: extended aggressor on-time.
-type Attack3Result struct {
-	Mfrs []string
-	// Reads is the extra READs per activation; OnTimeNs the resulting
-	// on-time.
-	Reads    int
-	OnTimeNs float64
-	// BaseHC/ExtHC are mean HCfirst without/with extension; BERRatio
-	// the BER amplification.
-	BaseHC, ExtHC []float64
-	HCReduction   []float64
-	BERRatio      []float64
-	// DefenseDefeated: a Graphene tracker configured for the baseline
-	// HCfirst lets the extended attack flip bits.
-	BaselinePrevented, ExtendedDefeats []bool
 }
 
 // attack3Reads is the READs-per-activation count of Improvement 3.
@@ -356,31 +288,6 @@ func attack3Mfr(cfg Config, mfr string) (attack3Out, error) {
 	out.basePrevented = r1.VictimFlips == 0
 	out.extDefeats = r2.VictimFlips > 0
 	return out, nil
-}
-
-// Attack3 measures the on-time extension attack and its effect on a
-// threshold-configured defense.
-func Attack3(cfg Config) (Attack3Result, error) {
-	cfg = cfg.normalize()
-	res := Attack3Result{Reads: attack3Reads}
-	for _, mfr := range mfrNames {
-		o, err := attack3Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.OnTimeNs = o.onTimeNs
-		if !o.ok {
-			continue
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.BaseHC = append(res.BaseHC, o.baseHC)
-		res.ExtHC = append(res.ExtHC, o.extHC)
-		res.HCReduction = append(res.HCReduction, 1-o.extHC/o.baseHC)
-		res.BERRatio = append(res.BERRatio, o.berRatio)
-		res.BaselinePrevented = append(res.BaselinePrevented, o.basePrevented)
-		res.ExtendedDefeats = append(res.ExtendedDefeats, o.extDefeats)
-	}
-	return res, nil
 }
 
 // attack3Shard measures one manufacturer's Improvement 3 numbers. The

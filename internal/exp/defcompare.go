@@ -13,59 +13,40 @@ import (
 	"rowhammer/internal/sched"
 )
 
-// DefCompareRow is one mechanism's scorecard.
-type DefCompareRow struct {
-	Name string
-	// AttackFlips under a full-window double-sided attack (0 = safe).
-	AttackFlips int
-	// AttackRefreshes/Throttle are the mitigation activity during the
-	// attack.
-	AttackRefreshes int64
-	ThrottleMs      float64
-	// BenignRefreshRate is preventive refreshes per benign activation.
-	BenignRefreshRate float64
-	// AreaPct is the estimated die-area cost where a model exists
-	// (negative = not modeled).
-	AreaPct float64
-}
-
-// DefCompareResult is the full comparison on one module.
-type DefCompareResult struct {
-	Mfr       string
-	Threshold int64
-	Rows      []DefCompareRow
-}
-
-// DefCompare evaluates PARA, Graphene, TWiCe, BlockHammer and
+// defCompareShard evaluates PARA, Graphene, TWiCe, BlockHammer and
 // RFM+SilverBullet against the same attack and the same benign
 // workload on one Mfr A module — the systems view behind §8.2's
-// improvement discussion.
-func DefCompare(cfg Config) (DefCompareResult, error) {
-	cfg = cfg.normalize()
-	res := DefCompareResult{Mfr: "A"}
+// improvement discussion (single shard: every mechanism faces the
+// same module and workload). Each mechanism row records the victim
+// flips under a full-window double-sided attack (0 = safe), the
+// mitigation activity during it, preventive refreshes per benign
+// activation, and the die-area cost where a model exists (negative =
+// not modeled).
+func defCompareShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
+	const mfr = "A"
 	mkBench := func() (*rh.Bench, error) {
 		return rh.NewBench(rh.BenchConfig{
-			Profile:  rh.ProfileByName("A"),
-			Seed:     moduleSeed(cfg, "A", 21),
+			Profile:  rh.ProfileByName(mfr),
+			Seed:     moduleSeed(cfg, mfr, 21),
 			Geometry: cfg.Geometry,
 		})
 	}
 	// Derive the protection threshold from a quick HCfirst probe.
 	b0, err := mkBench()
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	t0 := rh.NewTester(b0)
 	victim := sampleRows(cfg, 4)[1]
 	hc, err := t0.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	if !hc.Found {
-		return res, fmt.Errorf("exp: probe victim not vulnerable")
+		return nil, fmt.Errorf("exp: probe victim not vulnerable")
 	}
 	threshold := hc.HCfirst / 2
-	res.Threshold = threshold
 	rows := cfg.Geometry.RowsPerBank
 	tm := b0.Timing()
 
@@ -100,10 +81,13 @@ func DefCompare(cfg Config) (DefCompareResult, error) {
 		}, -1, false},
 	}
 
-	for _, mc := range mechs {
+	a := artifact.New(shard)
+	a.AddRow("probe").Tag("mfr", mfr).
+		SetInt("threshold", threshold).SetInt("max_hammers", cfg.Scale.MaxHammers)
+	for i, mc := range mechs {
 		b, err := mkBench()
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		mech := mc.mk()
 		ev, err := defense.Evaluate(defense.EvalConfig{
@@ -112,40 +96,16 @@ func DefCompare(cfg Config) (DefCompareResult, error) {
 			AutoRefresh: mc.autoRefresh,
 		})
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		mech.Reset()
 		bo := defense.BenignOverhead(mech, benign)
-		res.Rows = append(res.Rows, DefCompareRow{
-			Name:              mc.name,
-			AttackFlips:       ev.VictimFlips,
-			AttackRefreshes:   ev.PreventiveRefreshes,
-			ThrottleMs:        float64(ev.ThrottleDelay) / 1e9,
-			BenignRefreshRate: bo.RefreshRate,
-			AreaPct:           mc.area * 100,
-		})
-	}
-	return res, nil
-}
-
-// defCompareShard measures the mechanism scorecard (single shard:
-// every mechanism faces the same module and workload).
-func defCompareShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := DefCompare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := artifact.New(shard)
-	a.AddRow("probe").Tag("mfr", res.Mfr).
-		SetInt("threshold", res.Threshold).SetInt("max_hammers", cfg.Scale.MaxHammers)
-	for i, r := range res.Rows {
-		a.AddRow(fmt.Sprintf("mech=%02d", i)).Tag("name", r.Name).
-			SetInt("attack_flips", int64(r.AttackFlips)).
-			SetInt("attack_refreshes", r.AttackRefreshes).
-			Set("throttle_ms", r.ThrottleMs).
-			Set("benign_refresh_rate", r.BenignRefreshRate).
-			Set("area_pct", r.AreaPct)
+		a.AddRow(fmt.Sprintf("mech=%02d", i)).Tag("name", mc.name).
+			SetInt("attack_flips", int64(ev.VictimFlips)).
+			SetInt("attack_refreshes", ev.PreventiveRefreshes).
+			Set("throttle_ms", float64(ev.ThrottleDelay)/1e9).
+			Set("benign_refresh_rate", bo.RefreshRate).
+			Set("area_pct", mc.area*100)
 	}
 	return a, nil
 }

@@ -12,25 +12,16 @@ import (
 	"rowhammer/internal/sched"
 )
 
-// Defense1Result quantifies Improvement 1: row-aware thresholds.
-type Defense1Result struct {
-	Mfrs []string
-	// WorstHC and P5HC are the measured worst-case and 5th-percentile
-	// HCfirst values the configurations derive from.
-	WorstHC, P5HC []float64
-	// Area fractions and reductions per mechanism.
-	GrapheneBase, GrapheneRowAware       []float64
-	BlockHammerBase, BlockHammerRowAware []float64
-	GrapheneReduction, BHReduction       []float64
-	// PARA slowdown at worst-case vs relaxed probability.
-	PARABase, PARARelaxed []float64
-}
-
 // defense1Out is one manufacturer's row-aware configuration study.
 type defense1Out struct {
-	worst, p5             float64
-	gBase, gRow, gRed     float64
-	bBase, bRow, bRed     float64
+	// worst and p5 are the measured worst-case and 5th-percentile
+	// HCfirst values the configurations derive from.
+	worst, p5 float64
+	// Graphene and BlockHammer area fractions (baseline, row-aware)
+	// and the row-aware area reductions.
+	gBase, gRow, gRed float64
+	bBase, bRow, bRed float64
+	// PARA slowdown at the worst-case vs the relaxed probability.
 	paraBase, paraRelaxed float64
 }
 
@@ -56,32 +47,6 @@ func defense1From(cfg Config, s rh.RowVariationSummary) defense1Out {
 		paraBase:    defense.PARASlowdown(defense.PARAProbability(int64(worst), 1e-15)),
 		paraRelaxed: defense.PARASlowdown(defense.PARAProbability(int64(p5), 1e-15)),
 	}
-}
-
-// Defense1 derives row-aware defense configurations from measured row
-// variation.
-func Defense1(cfg Config) (Defense1Result, error) {
-	cfg = cfg.normalize()
-	f11, err := Fig11(cfg)
-	if err != nil {
-		return Defense1Result{}, err
-	}
-	var res Defense1Result
-	for i, mfr := range f11.Mfrs {
-		o := defense1From(cfg, f11.Summary[i])
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.WorstHC = append(res.WorstHC, o.worst)
-		res.P5HC = append(res.P5HC, o.p5)
-		res.GrapheneBase = append(res.GrapheneBase, o.gBase)
-		res.GrapheneRowAware = append(res.GrapheneRowAware, o.gRow)
-		res.BlockHammerBase = append(res.BlockHammerBase, o.bBase)
-		res.BlockHammerRowAware = append(res.BlockHammerRowAware, o.bRow)
-		res.GrapheneReduction = append(res.GrapheneReduction, o.gRed)
-		res.BHReduction = append(res.BHReduction, o.bRed)
-		res.PARABase = append(res.PARABase, o.paraBase)
-		res.PARARelaxed = append(res.PARARelaxed, o.paraRelaxed)
-	}
-	return res, nil
 }
 
 // defense1Shard measures one manufacturer's row-aware configuration.
@@ -119,25 +84,16 @@ func renderDefense1(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Defense2Result quantifies Improvement 2: subarray-sampled profiling.
-type Defense2Result struct {
-	Mfrs []string
-	// FullMin is the module's true minimum HCfirst from full
-	// profiling; SampledEstimate the prediction from profiling a
-	// subset of subarrays via the Fig. 14 linear model.
-	FullMin, SampledEstimate []float64
-	RelError                 []float64
-	// Speedup is subarrays-total / subarrays-sampled.
-	Speedup []float64
-}
-
 // defense2Out is one manufacturer's sampled-profiling prediction. ok
 // is false when the manufacturer lacks the modules/subarrays for the
 // transfer study at test scale.
 type defense2Out struct {
-	ok                        bool
+	ok bool
+	// trueMin is the module's minimum HCfirst from full profiling;
+	// estimate the prediction from one sampled subarray.
 	trueMin, estimate, relErr float64
-	speedup                   float64
+	// speedup is subarrays profiled in full over subarrays sampled.
+	speedup float64
 }
 
 // defense2Mfr predicts one manufacturer's new-module worst case from
@@ -190,30 +146,6 @@ func defense2Mfr(cfg Config, mfr string) (defense2Out, error) {
 	return out, nil
 }
 
-// Defense2 predicts a new module's worst-case HCfirst from one sampled
-// subarray plus a min-vs-avg linear model fitted on *other* modules of
-// the same manufacturer (Obsv. 15/16: the relation transfers across
-// modules).
-func Defense2(cfg Config) (Defense2Result, error) {
-	cfg = cfg.normalize()
-	var res Defense2Result
-	for _, mfr := range mfrNames {
-		o, err := defense2Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		if !o.ok {
-			continue
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.FullMin = append(res.FullMin, o.trueMin)
-		res.SampledEstimate = append(res.SampledEstimate, o.estimate)
-		res.RelError = append(res.RelError, o.relErr)
-		res.Speedup = append(res.Speedup, o.speedup)
-	}
-	return res, nil
-}
-
 // defense2Shard measures one manufacturer's sampled-profiling study.
 func defense2Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
 	cfg = cfg.WithContext(ctx).normalize()
@@ -245,35 +177,25 @@ func renderDefense2(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Defense3Result quantifies Improvement 3: temperature-aware row
-// retirement.
-type Defense3Result struct {
-	Mfr string
-	// RetiredAt50/RetiredAt85 are the retired-row counts.
-	RetiredAt50, RetiredAt85 int
-	ProfiledRows             int
-	// Coverage: fraction of rows that flipped at 85 °C that the
-	// 85 °C retirement set contains.
-	Coverage float64
-}
-
-// Defense3 builds a retirement policy from a temperature sweep and
-// checks its coverage.
-func Defense3(cfg Config) (Defense3Result, error) {
-	cfg = cfg.normalize()
-	res := Defense3Result{Mfr: "A"}
-	bs, err := benches(cfg, "A")
+// defense3Shard builds a temperature-aware retirement policy from a
+// temperature sweep and checks its coverage: the fraction of rows that
+// flipped at 85 °C that the 85 °C retirement set contains (single
+// shard: one Mfr A module).
+func defense3Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
+	const mfr = "A"
+	bs, err := benches(cfg, mfr)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	t := rh.NewTester(bs[0])
 	rows := sampleRows(cfg, tempSweepRows)
-	sweep, err := t.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := t.TemperatureSweepCtx(cfg.Ctx, rh.TempSweepConfig{
 		Bank: 0, Victims: rows, Hammers: cfg.Scale.Hammers,
 		Pattern: rh.PatCheckered, Repetitions: 1,
 	})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	policy := defense.NewRetirementPolicy()
 	flippedAt85 := map[int]bool{}
@@ -286,11 +208,8 @@ func Defense3(cfg Config) (Defense3Result, error) {
 			}
 		}
 	}
-	res.ProfiledRows = policy.ProfiledRows()
 	r50 := policy.RetiredRows(50, 0)
 	r85 := policy.RetiredRows(85, 0)
-	res.RetiredAt50 = len(r50)
-	res.RetiredAt85 = len(r85)
 	retired := map[int]bool{}
 	for _, r := range r85 {
 		retired[r] = true
@@ -301,28 +220,16 @@ func Defense3(cfg Config) (Defense3Result, error) {
 			covered++
 		}
 	}
+	coverage := 1.0
 	if len(flippedAt85) > 0 {
-		res.Coverage = float64(covered) / float64(len(flippedAt85))
-	} else {
-		res.Coverage = 1
-	}
-	return res, nil
-}
-
-// defense3Shard measures the retirement study (single shard: one
-// Mfr A module).
-func defense3Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := Defense3(cfg)
-	if err != nil {
-		return nil, err
+		coverage = float64(covered) / float64(len(flippedAt85))
 	}
 	a := artifact.New(shard)
-	a.AddRow("retirement").Tag("mfr", res.Mfr).
-		SetInt("profiled", int64(res.ProfiledRows)).
-		SetInt("retired_50", int64(res.RetiredAt50)).
-		SetInt("retired_85", int64(res.RetiredAt85)).
-		Set("coverage", res.Coverage)
+	a.AddRow("retirement").Tag("mfr", mfr).
+		SetInt("profiled", int64(policy.ProfiledRows())).
+		SetInt("retired_50", int64(len(r50))).
+		SetInt("retired_85", int64(len(r85))).
+		Set("coverage", coverage)
 	return a, nil
 }
 
@@ -337,14 +244,6 @@ func renderDefense3(out io.Writer, a *artifact.Artifact) error {
 	return nil
 }
 
-// Defense4Result quantifies Improvement 4: cooling.
-type Defense4Result struct {
-	Mfrs []string
-	// BERReduction going from 90 °C to 50 °C (positive = cooling
-	// helps; negative for Mfr B).
-	BERReduction []float64
-}
-
 // defense4Reduction derives the cooling reduction from the Fig. 4
 // trend at 90 °C: BER(90) = (1+at90)×BER(50).
 func defense4Reduction(at90 float64) float64 {
@@ -354,30 +253,14 @@ func defense4Reduction(at90 float64) float64 {
 	return 0
 }
 
-// Defense4 compares BER at 90 °C and 50 °C.
-func Defense4(cfg Config) (Defense4Result, error) {
-	cfg = cfg.normalize()
-	f4, err := Fig4(cfg)
-	if err != nil {
-		return Defense4Result{}, err
-	}
-	var res Defense4Result
-	for i, mfr := range f4.Mfrs {
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.BERReduction = append(res.BERReduction, defense4Reduction(f4.TrendAt(i, 90)))
-	}
-	return res, nil
-}
-
 // defense4Shard measures one manufacturer's cooling reduction.
 func defense4Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	points, err := fig4Mfr(cfg, mfr)
+	f4, err := fig4Shard(ctx, cfg, mfr)
 	if err != nil {
 		return nil, err
 	}
 	a := artifact.New(mfr)
-	a.AddRow(mfrKey(mfr)).Set("ber_reduction", defense4Reduction(trendAt(points, 90)))
+	a.AddRow(mfrKey(mfr)).Set("ber_reduction", defense4Reduction(fig4TrendAt(f4, mfr, 90)))
 	return a, nil
 }
 
@@ -395,30 +278,15 @@ func renderDefense4(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Defense5Result quantifies Improvement 5: open-time limiting.
-type Defense5Result struct {
-	Mfr string
-	// ExtendedHC is the HCfirst under a 154.5 ns on-time attack;
-	// LimitedHC the HCfirst when the controller caps open time at
-	// tRAS; BaselineHC the plain baseline.
-	ExtendedHC, LimitedHC, BaselineHC int64
-	// ExtraActs is the limiter's cost on a benign long-open workload.
-	ExtraActs int64
-	// Scheduler-level cost on a row-buffer-friendly benign workload:
-	// average request latency under plain open-page vs the capped
-	// policy, and the cap's enforced bound on row-open time.
-	OpenPageLatencyNs, CappedLatencyNs float64
-	BenignSlowdown                     float64
-	MaxRowOpenNsCapped                 float64
-}
-
-// Defense5 shows the open-time limiter restoring HCfirst.
-func Defense5(cfg Config) (Defense5Result, error) {
-	cfg = cfg.normalize()
-	res := Defense5Result{Mfr: "A"}
-	bs, err := benches(cfg, "A")
+// defense5Shard shows the open-time limiter restoring HCfirst, and
+// measures its cost on a benign workload (single shard: one Mfr A
+// module plus a scheduler simulation).
+func defense5Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
+	const mfr = "A"
+	bs, err := benches(cfg, mfr)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	b := bs[0]
 	t := rh.NewTester(b)
@@ -428,11 +296,11 @@ func Defense5(cfg Config) (Defense5Result, error) {
 
 	base, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	ext, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, AggOnNs: 154.5, MaxHammers: cfg.Scale.MaxHammers})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	// The limiter caps every open interval at tRAS: the attacker's
 	// requested 154.5 ns opens become tRAS opens (plus extra
@@ -443,15 +311,12 @@ func Defense5(cfg Config) (Defense5Result, error) {
 	limiter.Clamp(rh.Picos(154.5 * 1000))
 	lim, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.BaselineHC = base.HCfirst
-	res.ExtendedHC = ext.HCfirst
-	res.LimitedHC = lim.HCfirst
-	res.ExtraActs = limiter.ExtraActs
 
-	// Scheduler-level benign cost: a row-buffer-friendly workload
-	// under open-page vs the capped policy.
+	// Scheduler-level benign cost: average request latency of a
+	// row-buffer-friendly workload under open-page vs the capped
+	// policy, and the cap's enforced bound on row-open time.
 	reqs := sched.Generate(sched.WorkloadConfig{
 		Requests: 20000, Banks: cfg.Geometry.Banks, Rows: cfg.Geometry.RowsPerBank,
 		Cols: cfg.Geometry.ColumnsPerRow, Locality: 0.85,
@@ -459,35 +324,22 @@ func Defense5(cfg Config) (Defense5Result, error) {
 	})
 	open, err := sched.Simulate(reqs, tm, sched.OpenPage, 0)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	capped, err := sched.Simulate(reqs, tm, sched.CappedOpenPage, 4*tm.TRAS)
 	if err != nil {
-		return res, err
-	}
-	res.OpenPageLatencyNs = open.AvgLatencyNs()
-	res.CappedLatencyNs = capped.AvgLatencyNs()
-	if open.AvgLatencyNs() > 0 {
-		res.BenignSlowdown = capped.AvgLatencyNs()/open.AvgLatencyNs() - 1
-	}
-	res.MaxRowOpenNsCapped = capped.MaxRowOpen.Nanoseconds()
-	return res, nil
-}
-
-// defense5Shard measures the open-time limiter study (single shard:
-// one Mfr A module plus a scheduler simulation).
-func defense5Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := Defense5(cfg)
-	if err != nil {
 		return nil, err
 	}
+	var slowdown float64
+	if open.AvgLatencyNs() > 0 {
+		slowdown = capped.AvgLatencyNs()/open.AvgLatencyNs() - 1
+	}
 	a := artifact.New(shard)
-	a.AddRow("limiter").Tag("mfr", res.Mfr).
-		SetInt("baseline_hc", res.BaselineHC).SetInt("extended_hc", res.ExtendedHC).
-		SetInt("limited_hc", res.LimitedHC).SetInt("extra_acts", res.ExtraActs).
-		Set("open_latency_ns", res.OpenPageLatencyNs).Set("capped_latency_ns", res.CappedLatencyNs).
-		Set("benign_slowdown", res.BenignSlowdown).Set("max_row_open_ns", res.MaxRowOpenNsCapped)
+	a.AddRow("limiter").Tag("mfr", mfr).
+		SetInt("baseline_hc", base.HCfirst).SetInt("extended_hc", ext.HCfirst).
+		SetInt("limited_hc", lim.HCfirst).SetInt("extra_acts", limiter.ExtraActs).
+		Set("open_latency_ns", open.AvgLatencyNs()).Set("capped_latency_ns", capped.AvgLatencyNs()).
+		Set("benign_slowdown", slowdown).Set("max_row_open_ns", capped.MaxRowOpen.Nanoseconds())
 	return a, nil
 }
 
@@ -502,14 +354,6 @@ func renderDefense5(out io.Writer, a *artifact.Artifact) error {
 	fmt.Fprintf(out, "benign workload (85%% row locality): %.1f ns avg latency open-page → %.1f ns capped (%.1f%% slowdown); max row-open bounded to %.1f ns\n",
 		r.V("open_latency_ns"), r.V("capped_latency_ns"), 100*r.V("benign_slowdown"), r.V("max_row_open_ns"))
 	return nil
-}
-
-// Defense6Result quantifies Improvement 6: column-aware ECC.
-type Defense6Result struct {
-	Mfrs []string
-	// ExposureRatio = column-aware exposure / uniform exposure (< 1
-	// means the column-aware plan absorbs more flips).
-	ExposureRatio []float64
 }
 
 // defense6From plans ECC provisioning from one measured column
@@ -529,21 +373,6 @@ func defense6From(acc *rh.ColumnAccumulator) float64 {
 		return ea / eu
 	}
 	return 1.0
-}
-
-// Defense6 plans ECC provisioning from measured column profiles.
-func Defense6(cfg Config) (Defense6Result, error) {
-	cfg = cfg.normalize()
-	f12, err := Fig12(cfg)
-	if err != nil {
-		return Defense6Result{}, err
-	}
-	var res Defense6Result
-	for i, mfr := range f12.Mfrs {
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.ExposureRatio = append(res.ExposureRatio, defense6From(f12.Acc[i]))
-	}
-	return res, nil
 }
 
 // defense6Shard measures one manufacturer's ECC planning study.

@@ -1,11 +1,12 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation (§5–§8). Every experiment is split into three stages:
-// Compute (typed, pure, ctx-aware measurement of one shard), Artifact
-// (the uniform rows/series structure of internal/artifact), and
-// Render (the paper's text report, generated from the artifact alone).
-// Typed compute functions remain exported so tests can assert the
-// reproduced trends; the registry drives everything else — rhchar,
-// golden tests, and experiment-generic fleet campaigns.
+// Compute (pure, ctx-aware measurement of one shard), Artifact (the
+// uniform rows/series structure of internal/artifact), and Render (the
+// paper's text report, generated from the artifact alone). The
+// registry is the only compute path: rhchar, the golden tests and
+// experiment-generic fleet campaigns all run it, and the trend tests
+// and paper benchmarks read the same merged artifact ComputeAll
+// returns.
 package exp
 
 import (

@@ -3,10 +3,12 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	rh "rowhammer"
+	"rowhammer/internal/artifact"
 )
 
 // tinyConfig keeps experiment tests fast while preserving the trends.
@@ -26,6 +28,28 @@ func tinyConfig() Config {
 			Chips: 8, ChipWidth: 8, ColumnsPerRow: 32,
 		},
 	}
+}
+
+// run computes one experiment's merged artifact through the registry —
+// the same path rhchar, the goldens and fleet campaigns publish.
+func run(tb testing.TB, id string, cfg Config) *artifact.Artifact {
+	tb.Helper()
+	a, err := ByID(id).ComputeAll(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// row returns the artifact row with the given key, failing when it is
+// absent.
+func row(tb testing.TB, a *artifact.Artifact, key string) *artifact.Row {
+	tb.Helper()
+	r := a.Row(key)
+	if r == nil {
+		tb.Fatalf("%s artifact missing row %q", a.Experiment, key)
+	}
+	return r
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -56,17 +80,16 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable2Inventory(t *testing.T) {
-	res := Table2()
-	if res.DDR4Chips != 248 || res.DDR3Chips != 24 {
-		t.Fatalf("chip counts %d/%d, want 248/24", res.DDR4Chips, res.DDR3Chips)
+	a := run(t, "table2", tinyConfig())
+	tot := row(t, a, "totals")
+	if tot.Int("ddr4_chips") != 248 || tot.Int("ddr3_chips") != 24 {
+		t.Fatalf("chip counts %d/%d, want 248/24", tot.Int("ddr4_chips"), tot.Int("ddr3_chips"))
 	}
-	if res.DDR4Modules != 22 || res.DDR3Modules != 3 {
-		t.Fatalf("module counts %d/%d, want 22/3", res.DDR4Modules, res.DDR3Modules)
+	if tot.Int("ddr4_modules") != 22 || tot.Int("ddr3_modules") != 3 {
+		t.Fatalf("module counts %d/%d, want 22/3", tot.Int("ddr4_modules"), tot.Int("ddr3_modules"))
 	}
 	var buf bytes.Buffer
-	cfg := tinyConfig()
-	cfg.Out = &buf
-	if err := ByID("table2").Run(context.Background(), cfg); err != nil {
+	if err := ByID("table2").Render(&buf, a); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "248 DDR4 chips") {
@@ -75,52 +98,43 @@ func TestTable2Inventory(t *testing.T) {
 }
 
 func TestTable3NoGapDominates(t *testing.T) {
-	res, err := Table3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := run(t, "table3", tinyConfig())
+	if len(a.Shards) != 4 {
+		t.Fatalf("mfrs = %v", a.Shards)
 	}
-	if len(res.Mfrs) != 4 {
-		t.Fatalf("mfrs = %v", res.Mfrs)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.NoGapFrac[i] < 0.9 {
-			t.Errorf("mfr %s: no-gap fraction %.3f, want > 0.9 (paper ≈0.98-0.99)", mfr, res.NoGapFrac[i])
+	for _, mfr := range a.Shards {
+		if f := row(t, a, mfrKey(mfr)).V("no_gap_frac"); f < 0.9 {
+			t.Errorf("mfr %s: no-gap fraction %.3f, want > 0.9 (paper ≈0.98-0.99)", mfr, f)
 		}
 	}
 }
 
 func TestFig3ClusterShape(t *testing.T) {
-	res, err := Fig3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		m := res.Matrices[i]
+	a := run(t, "fig3", tinyConfig())
+	for _, mfr := range a.Shards {
+		m, err := clusterFromArtifact(a, mfrKey(mfr))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.Total == 0 {
 			t.Fatalf("mfr %s: no vulnerable cells", mfr)
 		}
 		// Obsv. 2: the full-range cluster is the largest single
 		// cluster for every manufacturer (paper: 9.6%–29.8%).
-		full := m.FullRangeFraction()
-		if full < 0.04 {
+		if full := m.FullRangeFraction(); full < 0.04 {
 			t.Errorf("mfr %s: full-range fraction %.3f too small", mfr, full)
 		}
-	}
-	// Obsv. 3: narrow-range cells exist but are a small minority.
-	for i, mfr := range res.Mfrs {
-		if n := res.Matrices[i].NarrowRangeFraction(); n > 0.5 {
+		// Obsv. 3: narrow-range cells exist but are a small minority.
+		if n := m.NarrowRangeFraction(); n > 0.5 {
 			t.Errorf("mfr %s: single-temperature cells %.2f, want minority", mfr, n)
 		}
 	}
 }
 
 func TestFig4TemperatureTrends(t *testing.T) {
-	res, err := Fig4(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		at90 := res.TrendAt(i, 90)
+	a := run(t, "fig4", tinyConfig())
+	for _, mfr := range a.Shards {
+		at90 := fig4TrendAt(a, mfr, 90)
 		switch mfr {
 		case "B":
 			if at90 >= 0 {
@@ -133,57 +147,50 @@ func TestFig4TemperatureTrends(t *testing.T) {
 		}
 	}
 	// Mfr D shows the strongest increase (paper ≈ +200%).
-	if res.TrendAt(3, 90) <= res.TrendAt(2, 90) {
-		t.Errorf("Mfr D trend %.2f should exceed Mfr C %.2f", res.TrendAt(3, 90), res.TrendAt(2, 90))
+	if d, c := fig4TrendAt(a, "D", 90), fig4TrendAt(a, "C", 90); d <= c {
+		t.Errorf("Mfr D trend %.2f should exceed Mfr C %.2f", d, c)
 	}
 }
 
 func TestFig5HCFirstChange(t *testing.T) {
-	res, err := Fig5(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if len(res.Change90[i]) == 0 {
+	a := run(t, "fig5", tinyConfig())
+	for _, mfr := range a.Shards {
+		if len(a.SeriesPoints(mfrKey(mfr)+"/change90")) == 0 {
 			t.Fatalf("mfr %s: no rows measured", mfr)
 		}
+		r := row(t, a, mfrKey(mfr))
 		// Obsv. 5: both directions occur — crossings well inside
 		// (0, 100).
-		if res.Cross90[i] <= 5 || res.Cross90[i] >= 95 {
-			t.Errorf("mfr %s: 50→90 crossing P%.0f, want interior", mfr, res.Cross90[i])
+		if c := r.V("cross90"); c <= 5 || c >= 95 {
+			t.Errorf("mfr %s: 50→90 crossing P%.0f, want interior", mfr, c)
 		}
 		// Obsv. 7: larger temperature change ⇒ larger cumulative
 		// magnitude (paper: ≈4×).
-		if res.MagnitudeRatio[i] <= 1 {
-			t.Errorf("mfr %s: magnitude ratio %.2f, want > 1", mfr, res.MagnitudeRatio[i])
+		if m := r.V("magnitude_ratio"); m <= 1 {
+			t.Errorf("mfr %s: magnitude ratio %.2f, want > 1", mfr, m)
 		}
 	}
 }
 
 func TestFig6CommandTimings(t *testing.T) {
-	res, err := Fig6(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.OnSpacing["baseline"].Nanoseconds(); got != 34.5 {
+	a := run(t, "fig6", tinyConfig())
+	if got := row(t, a, "test=baseline").V("on_ns"); got != 34.5 {
 		t.Fatalf("baseline tAggOn = %v", got)
 	}
-	if got := res.OnSpacing["aggressor-on"].Nanoseconds(); got != 154.5 {
+	if got := row(t, a, "test=aggressor-on").V("on_ns"); got != 154.5 {
 		t.Fatalf("aggressor-on tAggOn = %v", got)
 	}
-	if got := res.OffSpacing["aggressor-off"].Nanoseconds(); got != 40.5 {
+	if got := row(t, a, "test=aggressor-off").V("off_ns"); got != 40.5 {
 		t.Fatalf("aggressor-off tAggOff = %v", got)
 	}
-	if got := res.OffSpacing["baseline"].Nanoseconds(); got != 16.5 {
+	if got := row(t, a, "test=baseline").V("off_ns"); got != 16.5 {
 		t.Fatalf("baseline tAggOff = %v", got)
 	}
 }
 
 func TestFig7And8AggressorOnTrends(t *testing.T) {
-	res, err := AggOnSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Figs. 7 and 8 share one sweep (and one artifact layout).
+	res := aggResult(run(t, "fig7", tinyConfig()))
 	for i, mfr := range res.Mfrs {
 		if r := res.MeanBERRatio(i); r <= 1.5 {
 			t.Errorf("mfr %s: BER ratio %.2f at 154.5 ns, want > 1.5 (paper 3.1–10.2x)", mfr, r)
@@ -200,10 +207,8 @@ func TestFig7And8AggressorOnTrends(t *testing.T) {
 }
 
 func TestFig9And10AggressorOffTrends(t *testing.T) {
-	res, err := AggOffSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Figs. 9 and 10 share one sweep (and one artifact layout).
+	res := aggResult(run(t, "fig9", tinyConfig()))
 	for i, mfr := range res.Mfrs {
 		pts := res.Points[i]
 		if len(pts[0].BERs) == 0 {
@@ -219,78 +224,67 @@ func TestFig9And10AggressorOffTrends(t *testing.T) {
 }
 
 func TestFig11RowVariation(t *testing.T) {
-	res, err := Fig11(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		s := res.Summary[i]
-		if s.Vulnerable < 5 {
-			t.Fatalf("mfr %s: only %d vulnerable rows", mfr, s.Vulnerable)
+	a := run(t, "fig11", tinyConfig())
+	for _, mfr := range a.Shards {
+		r := row(t, a, mfrKey(mfr))
+		if n := r.Int("vulnerable"); n < 5 {
+			t.Fatalf("mfr %s: only %d vulnerable rows", mfr, n)
 		}
-		if s.RatioP95 < 1.0 {
-			t.Errorf("mfr %s: P95 ratio %.2f < 1", mfr, s.RatioP95)
+		p99, p95, p90 := r.V("ratio_p99"), r.V("ratio_p95"), r.V("ratio_p90")
+		if p95 < 1.0 {
+			t.Errorf("mfr %s: P95 ratio %.2f < 1", mfr, p95)
 		}
 		// Ratios are ordered by construction: deeper percentiles sit
 		// closer to the minimum.
-		if !(s.RatioP99 <= s.RatioP95 && s.RatioP95 <= s.RatioP90) {
-			t.Errorf("mfr %s: ratio ordering violated: %+v", mfr, s)
+		if !(p99 <= p95 && p95 <= p90) {
+			t.Errorf("mfr %s: ratio ordering violated: %+v", mfr, r.Values)
 		}
 	}
 }
 
 func TestFig12And13ColumnVariation(t *testing.T) {
-	cfg := tinyConfig()
-	res, err := Fig12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f12 := run(t, "fig12", tinyConfig())
 	// Obsv. 13: Mfr B (low column sigma) has far fewer zero-flip
 	// columns than A/C.
-	byName := map[string]int{}
-	for i, m := range res.Mfrs {
-		byName[m] = i
-	}
-	if res.ZeroFrac[byName["B"]] >= res.ZeroFrac[byName["A"]] {
-		t.Errorf("Mfr B zero-columns %.2f should be below Mfr A %.2f",
-			res.ZeroFrac[byName["B"]], res.ZeroFrac[byName["A"]])
+	zeroA, zeroB := row(t, f12, mfrKey("A")).V("zero_frac"), row(t, f12, mfrKey("B")).V("zero_frac")
+	if zeroB >= zeroA {
+		t.Errorf("Mfr B zero-columns %.2f should be below Mfr A %.2f", zeroB, zeroA)
 	}
 
-	f13, err := Fig13(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f13 := run(t, "fig13", tinyConfig())
+	a, b := row(t, f13, mfrKey("A")), row(t, f13, mfrKey("B"))
 	// Obsv. 14: B is design-dominated (low cross-chip variation), A is
 	// process-dominated (high cross-chip variation). At test scale the
 	// mean CV is the robust version of the paper's CV=0/CV=1 bucket
 	// masses.
-	if f13.MeanCV[byName["B"]] >= f13.MeanCV[byName["A"]] {
-		t.Errorf("Mfr B mean cross-chip CV %.2f should be below Mfr A %.2f",
-			f13.MeanCV[byName["B"]], f13.MeanCV[byName["A"]])
+	if b.V("mean_cv") >= a.V("mean_cv") {
+		t.Errorf("Mfr B mean cross-chip CV %.2f should be below Mfr A %.2f", b.V("mean_cv"), a.V("mean_cv"))
 	}
 	// A's heavy column factors concentrate flips in few columns.
-	if f13.ColumnSkew[byName["B"]] >= f13.ColumnSkew[byName["A"]] {
-		t.Errorf("Mfr B column skew %.2f should be below Mfr A %.2f",
-			f13.ColumnSkew[byName["B"]], f13.ColumnSkew[byName["A"]])
+	if b.V("column_skew") >= a.V("column_skew") {
+		t.Errorf("Mfr B column skew %.2f should be below Mfr A %.2f", b.V("column_skew"), a.V("column_skew"))
 	}
 }
 
 func TestFig14SubarrayRegression(t *testing.T) {
-	res, err := Fig14(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		fit := res.Fits[i]
-		if fit.Slope <= 0 || fit.Slope >= 1.2 {
-			t.Errorf("mfr %s: slope %.2f outside plausible range (min cannot exceed avg)", mfr, fit.Slope)
+	a := run(t, "fig14", tinyConfig())
+	cfg := tinyConfig().normalize()
+	for _, mfr := range a.Shards {
+		if slope := row(t, a, mfrKey(mfr)).V("slope"); slope <= 0 || slope >= 1.2 {
+			t.Errorf("mfr %s: slope %.2f outside plausible range (min cannot exceed avg)", mfr, slope)
 		}
-		if len(res.Subarrays[i]) < 4 {
-			t.Errorf("mfr %s: only %d subarray points", mfr, len(res.Subarrays[i]))
+		// The artifact stores only the fit; the per-subarray points
+		// come from the shard's own helper.
+		subs, _, err := fig14Mfr(cfg, mfr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subs) < 4 {
+			t.Errorf("mfr %s: only %d subarray points", mfr, len(subs))
 		}
 		// Obsv. 15: the minimum is well below the average in every
 		// subarray.
-		for _, s := range res.Subarrays[i] {
+		for _, s := range subs {
 			if s.Min > s.Avg {
 				t.Fatalf("mfr %s: subarray %d min %.0f above avg %.0f", mfr, s.Subarray, s.Min, s.Avg)
 			}
@@ -299,14 +293,14 @@ func TestFig14SubarrayRegression(t *testing.T) {
 }
 
 func TestFig15SubarraySimilarity(t *testing.T) {
-	res, err := Fig15(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if len(res.SameModule[i]) == 0 || len(res.DiffModule[i]) == 0 {
+	a := run(t, "fig15", tinyConfig())
+	for _, mfr := range a.Shards {
+		same := a.SeriesPoints(mfrKey(mfr) + "/same")
+		diff := a.SeriesPoints(mfrKey(mfr) + "/diff")
+		if len(same) == 0 || len(diff) == 0 {
 			t.Fatalf("mfr %s: missing pair populations", mfr)
 		}
+		p5Same, p5Diff := fig15P5(same), fig15P5(diff)
 		// Obsv. 16: same-module subarrays are at least as similar as
 		// different-module subarrays. The separation scales with
 		// module-to-module variation, so it is only individually
@@ -314,182 +308,188 @@ func TestFig15SubarraySimilarity(t *testing.T) {
 		// for A and D at this sample size the populations overlap.
 		switch mfr {
 		case "B", "C":
-			if res.P5Same[i] <= res.P5Diff[i] {
-				t.Errorf("mfr %s: P5 same %.3f not above P5 diff %.3f", mfr, res.P5Same[i], res.P5Diff[i])
+			if p5Same <= p5Diff {
+				t.Errorf("mfr %s: P5 same %.3f not above P5 diff %.3f", mfr, p5Same, p5Diff)
 			}
 		default:
-			if res.P5Same[i] < res.P5Diff[i]-0.2 {
-				t.Errorf("mfr %s: P5 same %.3f far below P5 diff %.3f", mfr, res.P5Same[i], res.P5Diff[i])
+			if p5Same < p5Diff-0.2 {
+				t.Errorf("mfr %s: P5 same %.3f far below P5 diff %.3f", mfr, p5Same, p5Diff)
 			}
 		}
 	}
 }
 
 func TestAttack1InformedChoice(t *testing.T) {
-	res, err := Attack1(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.InformedHC[i] > res.MedianHC[i] {
-			t.Errorf("mfr %s: informed HC %d above median %d", mfr, res.InformedHC[i], res.MedianHC[i])
+	a := run(t, "atk1", tinyConfig())
+	for _, mfr := range a.Shards {
+		r := row(t, a, mfrKey(mfr))
+		if r.Int("informed_hc") > r.Int("median_hc") {
+			t.Errorf("mfr %s: informed HC %d above median %d", mfr, r.Int("informed_hc"), r.Int("median_hc"))
 		}
-		if res.Reduction[i] < 0 {
+		if r.V("reduction") < 0 {
 			t.Errorf("mfr %s: negative reduction", mfr)
 		}
 	}
 }
 
 func TestAttack2TriggerCensus(t *testing.T) {
-	res, err := Attack2(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AboveCellFrac <= 0 {
+	r := row(t, run(t, "atk2", tinyConfig()), "trigger")
+	if r.V("above_frac") <= 0 {
 		t.Fatal("no at-or-above sensor cells found")
 	}
-	if res.TriggerFound && !res.Valid {
-		t.Fatalf("trigger found but misbehaved: below=%v above=%v", res.FiredBelow, res.FiredAbove)
+	if r.Int("found") != 0 && r.Int("valid") == 0 {
+		t.Fatalf("trigger found but misbehaved: below=%v above=%v", r.Int("fired_below") != 0, r.Int("fired_above") != 0)
 	}
 }
 
 func TestAttack3ExtendedOnTime(t *testing.T) {
-	res, err := Attack3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mfrs) == 0 {
-		t.Fatal("no manufacturers measured")
-	}
-	for i, mfr := range res.Mfrs {
-		if res.HCReduction[i] <= 0.05 {
-			t.Errorf("mfr %s: HC reduction %.2f, want > 0.05 (paper ≈36%%)", mfr, res.HCReduction[i])
+	a := run(t, "atk3", tinyConfig())
+	// A manufacturer appears only when its module produced a usable
+	// sample at test scale.
+	measured := 0
+	for _, mfr := range a.Shards {
+		r := a.Row(mfrKey(mfr) + "/res")
+		if r == nil {
+			continue
 		}
-		if res.BERRatio[i] > 0 && res.BERRatio[i] <= 1 {
-			t.Errorf("mfr %s: BER ratio %.2f, want > 1 (paper 3.2–10.2x)", mfr, res.BERRatio[i])
+		measured++
+		if red := r.V("reduction"); red <= 0.05 {
+			t.Errorf("mfr %s: HC reduction %.2f, want > 0.05 (paper ≈36%%)", mfr, red)
 		}
-		if !res.BaselinePrevented[i] {
+		if br := r.V("ber_ratio"); br > 0 && br <= 1 {
+			t.Errorf("mfr %s: BER ratio %.2f, want > 1 (paper 3.2–10.2x)", mfr, br)
+		}
+		if r.Int("base_prevented") == 0 {
 			t.Errorf("mfr %s: defense failed to stop the baseline attack", mfr)
 		}
-		if !res.ExtendedDefeats[i] {
+		if r.Int("ext_defeats") == 0 {
 			t.Errorf("mfr %s: extended attack did not defeat the threshold defense", mfr)
 		}
+	}
+	if measured == 0 {
+		t.Fatal("no manufacturers measured")
 	}
 }
 
 func TestDefense1RowAwareSavings(t *testing.T) {
-	res, err := Defense1(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.P5HC[i] <= res.WorstHC[i] {
+	a := run(t, "def1", tinyConfig())
+	for _, mfr := range a.Shards {
+		r := row(t, a, mfrKey(mfr))
+		if r.V("p5_hc") <= r.V("worst_hc") {
 			t.Errorf("mfr %s: P5 HC not above worst case", mfr)
 		}
 		// At test scale the measured P5/worst ratio understates the
 		// paper's 2× (few rows ⇒ the empirical P5 hugs the min), so
 		// only the direction is asserted here; EXPERIMENTS.md records
 		// the full-scale values.
-		if res.GrapheneReduction[i] <= 0 {
-			t.Errorf("mfr %s: Graphene saving %.2f, want positive", mfr, res.GrapheneReduction[i])
+		gRed, bhRed := r.V("graphene_red"), r.V("bh_red")
+		if gRed <= 0 {
+			t.Errorf("mfr %s: Graphene saving %.2f, want positive", mfr, gRed)
 		}
-		if res.BHReduction[i] <= 0 {
-			t.Errorf("mfr %s: BlockHammer saving %.2f, want positive", mfr, res.BHReduction[i])
+		if bhRed <= 0 {
+			t.Errorf("mfr %s: BlockHammer saving %.2f, want positive", mfr, bhRed)
 		}
 		// Graphene benefits more from threshold relaxation than
 		// BlockHammer (steeper area law).
-		if res.GrapheneReduction[i] <= res.BHReduction[i] {
-			t.Errorf("mfr %s: Graphene saving %.2f should exceed BlockHammer %.2f",
-				mfr, res.GrapheneReduction[i], res.BHReduction[i])
+		if gRed <= bhRed {
+			t.Errorf("mfr %s: Graphene saving %.2f should exceed BlockHammer %.2f", mfr, gRed, bhRed)
 		}
-		if res.PARARelaxed[i] >= res.PARABase[i] {
+		if r.V("para_relaxed") >= r.V("para_base") {
 			t.Errorf("mfr %s: relaxed PARA slowdown not lower", mfr)
 		}
 	}
 }
 
 func TestDefense2SampledProfiling(t *testing.T) {
-	res, err := Defense2(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := run(t, "def2", tinyConfig())
+	// A manufacturer appears only when it has the modules and
+	// subarrays for the transfer study at test scale.
+	measured := 0
+	for _, mfr := range a.Shards {
+		r := a.Row(mfrKey(mfr))
+		if r == nil {
+			continue
+		}
+		measured++
+		if s := r.V("speedup"); s < 2 {
+			t.Errorf("mfr %s: speedup %.0f < 2", mfr, s)
+		}
+		if e := r.V("rel_error"); e < -0.6 || e > 0.6 {
+			t.Errorf("mfr %s: estimate off by %+.0f%%", mfr, 100*e)
+		}
 	}
-	if len(res.Mfrs) == 0 {
+	if measured == 0 {
 		t.Fatal("no results")
-	}
-	for i, mfr := range res.Mfrs {
-		if res.Speedup[i] < 2 {
-			t.Errorf("mfr %s: speedup %.0f < 2", mfr, res.Speedup[i])
-		}
-		if res.RelError[i] < -0.6 || res.RelError[i] > 0.6 {
-			t.Errorf("mfr %s: estimate off by %+.0f%%", mfr, 100*res.RelError[i])
-		}
 	}
 }
 
 func TestDefense3Retirement(t *testing.T) {
-	res, err := Defense3(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProfiledRows == 0 {
+	r := row(t, run(t, "def3", tinyConfig()), "retirement")
+	if r.Int("profiled") == 0 {
 		t.Fatal("no rows profiled")
 	}
-	if res.Coverage < 0.999 {
-		t.Fatalf("retirement coverage %.3f, want 1.0 (policy built from the same profile)", res.Coverage)
+	if c := r.V("coverage"); c < 0.999 {
+		t.Fatalf("retirement coverage %.3f, want 1.0 (policy built from the same profile)", c)
 	}
 }
 
 func TestDefense4Cooling(t *testing.T) {
-	res, err := Defense4(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	a := run(t, "def4", tinyConfig())
+	if red := row(t, a, mfrKey("A")).V("ber_reduction"); red <= 0 {
+		t.Errorf("Mfr A cooling reduction %.2f, want positive (paper ≈25%%)", red)
 	}
-	byName := map[string]int{}
-	for i, m := range res.Mfrs {
-		byName[m] = i
-	}
-	if res.BERReduction[byName["A"]] <= 0 {
-		t.Errorf("Mfr A cooling reduction %.2f, want positive (paper ≈25%%)", res.BERReduction[byName["A"]])
-	}
-	if res.BERReduction[byName["B"]] >= 0 {
-		t.Errorf("Mfr B cooling reduction %.2f, want negative (B worsens when cooled)", res.BERReduction[byName["B"]])
+	if red := row(t, a, mfrKey("B")).V("ber_reduction"); red >= 0 {
+		t.Errorf("Mfr B cooling reduction %.2f, want negative (B worsens when cooled)", red)
 	}
 }
 
 func TestDefense5OpenTimeLimiter(t *testing.T) {
-	res, err := Defense5(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	r := row(t, run(t, "def5", tinyConfig()), "limiter")
+	base, ext, lim := r.Int("baseline_hc"), r.Int("extended_hc"), r.Int("limited_hc")
+	if ext >= base {
+		t.Fatalf("extended attack HC %d not below baseline %d", ext, base)
 	}
-	if res.ExtendedHC >= res.BaselineHC {
-		t.Fatalf("extended attack HC %d not below baseline %d", res.ExtendedHC, res.BaselineHC)
+	if lim != base {
+		t.Fatalf("limiter should restore baseline HCfirst: %d vs %d", lim, base)
 	}
-	if res.LimitedHC != res.BaselineHC {
-		t.Fatalf("limiter should restore baseline HCfirst: %d vs %d", res.LimitedHC, res.BaselineHC)
-	}
-	if res.ExtraActs == 0 {
+	if r.Int("extra_acts") == 0 {
 		t.Fatal("limiter cost not accounted")
 	}
 	// Scheduler proxy: a bounded open time costs a benign streaming
 	// workload some latency, far below a closed-page policy, while
 	// enforcing the cap.
-	if res.BenignSlowdown < 0 || res.BenignSlowdown > 0.5 {
-		t.Fatalf("benign slowdown %.2f implausible", res.BenignSlowdown)
+	if s := r.V("benign_slowdown"); s < 0 || s > 0.5 {
+		t.Fatalf("benign slowdown %.2f implausible", s)
 	}
-	if res.MaxRowOpenNsCapped <= 0 {
+	if r.V("max_row_open_ns") <= 0 {
 		t.Fatal("cap bound not measured")
 	}
 }
 
 func TestDefense6ColumnAwareECC(t *testing.T) {
-	res, err := Defense6(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, mfr := range res.Mfrs {
-		if res.ExposureRatio[i] >= 1 {
-			t.Errorf("mfr %s: column-aware ECC exposure ratio %.2f, want < 1", mfr, res.ExposureRatio[i])
+	a := run(t, "def6", tinyConfig())
+	for _, mfr := range a.Shards {
+		if e := row(t, a, mfrKey(mfr)).V("exposure_ratio"); e >= 1 {
+			t.Errorf("mfr %s: column-aware ECC exposure ratio %.2f, want < 1", mfr, e)
 		}
+	}
+}
+
+// TestComputeHonorsCancelledContext checks that a shard's measurement
+// loops see the campaign context: under an already-cancelled context
+// Compute must fail with context.Canceled instead of running the
+// whole measurement.
+func TestComputeHonorsCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"atk2", "def3", "ddr3", "fig5", "fig7"} {
+		t.Run(id, func(t *testing.T) {
+			e := ByID(id)
+			frag, err := e.Compute(ctx, tinyConfig(), e.Shards[0])
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Compute under a cancelled context = (%v, %v), want context.Canceled", frag != nil, err)
+			}
+		})
 	}
 }
 
@@ -511,8 +511,8 @@ func TestRunAllPrintersProduceOutput(t *testing.T) {
 
 func TestCheapPrintersSmoke(t *testing.T) {
 	// End-to-end smoke of printers not covered elsewhere; the heavy
-	// sweep printers share their compute paths with the tested
-	// compute functions.
+	// sweep printers render the artifacts the tests above assert on
+	// and the golden suite locks.
 	for _, id := range []string{"wcdp", "defcompare", "manysided", "interference", "def5"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

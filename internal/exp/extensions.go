@@ -18,17 +18,8 @@ import (
 // TRRespass-style many-sided attack against the in-DRAM TRR sampler
 // (§2.3 background), and the §4.2 interference checklist.
 
-// DDR3Result verifies Obsv. 2 on DDR3 SODIMM benches: a significant
-// fraction of vulnerable cells flips at all tested temperatures.
-type DDR3Result struct {
-	Mfrs          []string
-	FullRangeFrac []float64
-	NoGapFrac     []float64
-	Vulnerable    []int
-}
-
 // ddr3Mfr sweeps one manufacturer's DDR3 module across the study
-// temperatures.
+// temperatures (manufacturers A–C have DDR3 SODIMMs in Table 2).
 func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 	geo := cfg.Geometry
 	b, err := rh.NewBench(rh.BenchConfig{
@@ -41,7 +32,7 @@ func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 		return nil, err
 	}
 	t := rh.NewTester(b)
-	sweep, err := t.TemperatureSweep(rh.TempSweepConfig{
+	sweep, err := t.TemperatureSweepCtx(cfg.Ctx, rh.TempSweepConfig{
 		Bank:        0,
 		Victims:     sampleRows(cfg, tempSweepRows),
 		Hammers:     2 * cfg.Scale.Hammers,
@@ -54,25 +45,9 @@ func ddr3Mfr(cfg Config, mfr string) (*rh.TempClusterMatrix, error) {
 	return sweep.ClusterByRange(), nil
 }
 
-// DDR3 sweeps DDR3 modules (manufacturers A–C have DDR3 SODIMMs in
-// Table 2) across the study temperatures.
-func DDR3(cfg Config) (DDR3Result, error) {
-	cfg = cfg.normalize()
-	var res DDR3Result
-	for _, mfr := range ddr3Shards {
-		m, err := ddr3Mfr(cfg, mfr)
-		if err != nil {
-			return res, err
-		}
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.FullRangeFrac = append(res.FullRangeFrac, m.FullRangeFraction())
-		res.NoGapFrac = append(res.NoGapFrac, m.NoGapFraction())
-		res.Vulnerable = append(res.Vulnerable, m.Total)
-	}
-	return res, nil
-}
-
-// ddr3Shard measures one manufacturer's DDR3 verification.
+// ddr3Shard verifies Obsv. 2 on one manufacturer's DDR3 SODIMM bench:
+// a significant fraction of vulnerable cells flips at all tested
+// temperatures.
 func ddr3Shard(ctx context.Context, cfg Config, mfr string) (*artifact.Artifact, error) {
 	cfg = cfg.WithContext(ctx).normalize()
 	m, err := ddr3Mfr(cfg, mfr)
@@ -100,16 +75,6 @@ func renderDDR3(out io.Writer, a *artifact.Artifact) error {
 			pct(r.V("full_range_frac")), pct(r.V("no_gap_frac")))
 	}
 	return w.Flush()
-}
-
-// ManySidedResult compares double-sided and TRRespass-style many-sided
-// attacks against a TRR-protected module under a realistic refresh
-// stream.
-type ManySidedResult struct {
-	// DoubleFlips/ManyFlips are victim bit flips under each pattern.
-	DoubleFlips, ManyFlips int
-	// TRRRefreshesDouble/Many count targeted refreshes TRR performed.
-	TRRRefreshesDouble, TRRRefreshesMany int64
 }
 
 // trrAttack hammers a TRR-protected module with refresh commands
@@ -170,39 +135,31 @@ func trrAttack(cfg Config, aggressors []int, victim int, rounds int64) (int, int
 	return flips.Count(), b.Module.Stats().TRRRefreshes, nil
 }
 
-// ManySided runs the comparison.
-func ManySided(cfg Config) (ManySidedResult, error) {
-	cfg = cfg.normalize()
-	var res ManySidedResult
+// manySidedShard compares double-sided and TRRespass-style many-sided
+// attacks against a TRR-protected module under a realistic refresh
+// stream, recording victim flips and the targeted refreshes TRR
+// performed (single shard: both attacks target the same module).
+func manySidedShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
 	// Keep the victim (and the many-sided decoy window) clear of
 	// subarray edges.
 	victim := cfg.Geometry.RowsPerBank/2 + 17
 	const rounds = 250_000
-	var err error
-	res.DoubleFlips, res.TRRRefreshesDouble, err = trrAttack(cfg,
-		attack.AggressorRows(attack.DoubleSided, victim, 0), victim, rounds)
-	if err != nil {
-		return res, err
-	}
-	res.ManyFlips, res.TRRRefreshesMany, err = trrAttack(cfg,
-		attack.AggressorRows(attack.ManySided, victim, 8), victim, rounds)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// manySidedShard measures the TRR-evasion comparison (single shard:
-// both attacks target the same module).
-func manySidedShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := ManySided(cfg)
-	if err != nil {
-		return nil, err
-	}
 	a := artifact.New(shard)
-	a.AddRow("double").SetInt("flips", int64(res.DoubleFlips)).SetInt("trr_refreshes", res.TRRRefreshesDouble)
-	a.AddRow("many").SetInt("flips", int64(res.ManyFlips)).SetInt("trr_refreshes", res.TRRRefreshesMany)
+	for _, p := range []struct {
+		key     string
+		pattern attack.PatternShape
+		decoys  int
+	}{
+		{"double", attack.DoubleSided, 0},
+		{"many", attack.ManySided, 8},
+	} {
+		flips, refreshes, err := trrAttack(cfg, attack.AggressorRows(p.pattern, victim, p.decoys), victim, rounds)
+		if err != nil {
+			return nil, err
+		}
+		a.AddRow(p.key).SetInt("flips", int64(flips)).SetInt("trr_refreshes", refreshes)
+	}
 	return a, nil
 }
 
@@ -219,29 +176,16 @@ func renderManySided(out io.Writer, a *artifact.Artifact) error {
 	return nil
 }
 
-// InterferenceResult is the §4.2 "disabling sources of interference"
-// checklist, verified by measurement.
-type InterferenceResult struct {
-	// HCfirstDuration is the longest single HCfirst test in DRAM time;
-	// the paper bounds tests to 64 ms.
-	HCfirstDuration dram.Picos
-	// RetentionFlips observed with the retention model *enabled*
-	// during a full HCfirst search (must be 0 for a valid
-	// methodology).
-	RetentionFlips int64
-	// TRRActivity with TRR silicon present but no REF issued (must be
-	// 0: §4.2 neutralizes TRR by withholding refresh).
-	TRRActivity int64
-	// ECCMasking: flips hidden by on-die ECC when enabled vs the
-	// paper's no-ECC modules (non-zero, demonstrating why the study
-	// excludes ECC modules).
-	ECCRawFlips, ECCVisibleFlips int
-}
-
-// Interference verifies the methodology's isolation properties.
-func Interference(cfg Config) (InterferenceResult, error) {
-	cfg = cfg.normalize()
-	var res InterferenceResult
+// interferenceShard verifies the methodology's §4.2 "disabling
+// sources of interference" checklist by measurement (single shard: one
+// instrumented module). The longest HCfirst test must stay inside the
+// paper's 64 ms bound, the enabled retention model must flip nothing
+// during it, and TRR silicon must stay idle without REF commands
+// (§4.2 neutralizes TRR by withholding refresh). On-die ECC hides
+// flips on an otherwise identical module, which is why the study
+// excludes ECC modules.
+func interferenceShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	cfg = cfg.WithContext(ctx).normalize()
 
 	// 1+2: retention-enabled bench; run an HCfirst search and verify
 	// the test stays inside the retention-safe window.
@@ -255,7 +199,7 @@ func Interference(cfg Config) (InterferenceResult, error) {
 		TRR:       &trr,
 	})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	t := rh.NewTester(b)
 	victim := sampleRows(cfg, 4)[1]
@@ -264,11 +208,11 @@ func Interference(cfg Config) (InterferenceResult, error) {
 		Bank: 0, VictimPhys: victim, Hammers: cfg.Scale.MaxHammers,
 		Pattern: rh.PatCheckered, Trial: 1,
 	}); err != nil {
-		return res, err
+		return nil, err
 	}
-	res.HCfirstDuration = b.Exec.Now() - start
-	res.RetentionFlips = b.Module.Stats().RetentionFlips
-	res.TRRActivity = b.Module.Stats().TRRRefreshes
+	duration := b.Exec.Now() - start
+	retentionFlips := b.Module.Stats().RetentionFlips
+	trrActivity := b.Module.Stats().TRRRefreshes
 
 	// 3: ECC masking on an otherwise identical module.
 	mkFlips := func(ecc bool) (int, error) {
@@ -291,30 +235,21 @@ func Interference(cfg Config) (InterferenceResult, error) {
 		}
 		return hr.Victim.Count(), nil
 	}
-	if res.ECCRawFlips, err = mkFlips(false); err != nil {
-		return res, err
+	raw, err := mkFlips(false)
+	if err != nil {
+		return nil, err
 	}
-	if res.ECCVisibleFlips, err = mkFlips(true); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// interferenceShard measures the §4.2 checklist (single shard: one
-// instrumented module).
-func interferenceShard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	cfg = cfg.WithContext(ctx).normalize()
-	res, err := Interference(cfg)
+	visible, err := mkFlips(true)
 	if err != nil {
 		return nil, err
 	}
 	a := artifact.New(shard)
 	a.AddRow("checklist").
-		SetInt("duration_ps", int64(res.HCfirstDuration)).
-		SetInt("retention_flips", res.RetentionFlips).
-		SetInt("trr_activity", res.TRRActivity).
-		SetInt("ecc_raw", int64(res.ECCRawFlips)).
-		SetInt("ecc_visible", int64(res.ECCVisibleFlips))
+		SetInt("duration_ps", int64(duration)).
+		SetInt("retention_flips", retentionFlips).
+		SetInt("trr_activity", trrActivity).
+		SetInt("ecc_raw", int64(raw)).
+		SetInt("ecc_visible", int64(visible))
 	return a, nil
 }
 

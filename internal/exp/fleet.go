@@ -66,9 +66,14 @@ func FleetSpec(e Experiment, cfg Config) campaign.Spec {
 
 // FleetRunner returns the campaign runner that executes experiment
 // shards: each job resolves its kind's experiment, computes the
-// shard's fragment under the campaign context (so timeouts, watchdog
-// cancellation and drain all reach the measurement loops), and embeds
-// the fragment's compact encoding in the record.
+// shard's fragment under the campaign context, and embeds the
+// fragment's compact encoding in the record. Timeouts, watchdog
+// cancellation and drain reach the measurement loops, which check the
+// context between modules or temperature points — except in atk1,
+// atk3, def5, defcompare, manysided and interference, whose loops
+// (attack planning, HCfirst searches, defense evaluation, the TRR
+// attack) take no context: a cancelled job of those kinds runs its
+// shard to the end.
 func FleetRunner(cfg Config) campaign.Runner {
 	return func(ctx context.Context, spec campaign.Spec, job campaign.Job) (campaign.Record, error) {
 		e := FleetExperiment(job.Kind)

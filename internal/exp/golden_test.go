@@ -80,9 +80,9 @@ func TestGoldenText(t *testing.T) {
 	}
 }
 
-// TestGoldenTextWorkerInvariance re-renders a parallel (mapMfrs-based)
-// experiment at several worker counts: results must not depend on
-// scheduling.
+// TestGoldenTextWorkerInvariance re-renders a per-manufacturer
+// experiment, whose shards ComputeAll spreads over the worker pool, at
+// several worker counts: results must not depend on scheduling.
 func TestGoldenTextWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		workers := workers

@@ -15,16 +15,6 @@ import (
 // profile.
 const fig11Rows = 40
 
-// Fig11Result holds per-manufacturer row HCfirst profiles.
-type Fig11Result struct {
-	Mfrs []string
-	// Curves[mfr][module] is the descending HCfirst curve.
-	Curves [][][]float64
-	// Summary aggregates Obsv. 12's ratios across all modules of a
-	// manufacturer.
-	Summary []rh.RowVariationSummary
-}
-
 // fig11Mfr profiles one manufacturer's row HCfirst distribution.
 func fig11Mfr(cfg Config, mfr string) ([][]float64, rh.RowVariationSummary, error) {
 	bs, err := benches(cfg, mfr)
@@ -51,29 +41,6 @@ func fig11Mfr(cfg Config, mfr string) ([][]float64, rh.RowVariationSummary, erro
 	}
 	summary, err := rh.SummarizeRowVariation(all)
 	return curves, summary, err
-}
-
-// Fig11 measures the distribution of HCfirst across rows.
-func Fig11(cfg Config) (Fig11Result, error) {
-	cfg = cfg.normalize()
-	var res Fig11Result
-	type mfrOut struct {
-		curves  [][]float64
-		summary rh.RowVariationSummary
-	}
-	perMfr, err := mapMfrs(cfg, func(mfr string) (mfrOut, error) {
-		curves, summary, err := fig11Mfr(cfg, mfr)
-		return mfrOut{curves: curves, summary: summary}, err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, o := range perMfr {
-		res.Curves = append(res.Curves, o.curves)
-		res.Summary = append(res.Summary, o.summary)
-	}
-	return res, nil
 }
 
 // fig11Shard measures one manufacturer's Fig. 11 profile.
@@ -156,16 +123,6 @@ func spreadRows(g rh.Geometry, n int) []int {
 	return rows
 }
 
-// Fig12Result holds per-manufacturer column flip counts.
-type Fig12Result struct {
-	Mfrs []string
-	Acc  []*rh.ColumnAccumulator
-	// ZeroFrac and HotFrac summarize Obsv. 13 (hot = >N flips where N
-	// scales with the accumulated total).
-	ZeroFrac, HotFrac []float64
-	HotThreshold      int
-}
-
 // fig12Mfr accumulates one manufacturer's per-(chip, column) flips.
 // cfg must already carry the narrowed column geometry.
 func fig12Mfr(cfg Config, mfr string) (*rh.ColumnAccumulator, error) {
@@ -209,26 +166,6 @@ func fig12Mfr(cfg Config, mfr string) (*rh.ColumnAccumulator, error) {
 		}
 	}
 	return acc, nil
-}
-
-// Fig12 accumulates bit flips per (chip, array column).
-func Fig12(cfg Config) (Fig12Result, error) {
-	cfg = cfg.normalize()
-	cfg.Geometry = columnGeometry(cfg.Geometry)
-	res := Fig12Result{HotThreshold: fig12HotThreshold}
-	accs, err := mapMfrs(cfg, func(mfr string) (*rh.ColumnAccumulator, error) {
-		return fig12Mfr(cfg, mfr)
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, acc := range accs {
-		res.Acc = append(res.Acc, acc)
-		res.ZeroFrac = append(res.ZeroFrac, acc.ZeroColumnFraction())
-		res.HotFrac = append(res.HotFrac, acc.HotColumnFraction(res.HotThreshold))
-	}
-	return res, nil
 }
 
 func min64(a, b int64) int64 {
@@ -276,32 +213,24 @@ func renderFig12(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Fig13Result holds the column-variation 2-D histograms.
-type Fig13Result struct {
-	Mfrs []string
-	// Hist[mfr][relVulnBucket][cvBucket], 11×11 as in the paper.
-	Hist [][][]int
-	// ZeroCVFrac is the share of vulnerable columns in the lowest CV
-	// bucket (design-dominated); OneCVFrac the share in the saturated
-	// top bucket (process-dominated).
-	ZeroCVFrac, OneCVFrac []float64
-	// MeanCV is the average cross-chip CV over vulnerable columns — a
-	// small-sample-robust summary of the design-vs-process split.
-	MeanCV []float64
-	// ColumnSkew is the mean over chips of the CV of per-column flip
-	// counts within the chip: high when a few columns dominate each
-	// chip's flips (heavy column-factor variation, Mfr A/C style).
-	// Note that CV of *pooled* totals would measure the opposite:
-	// pooling chips averages away process-induced variation but keeps
-	// design-induced stripes.
-	ColumnSkew []float64
-}
-
 // fig13Stats holds one manufacturer's Fig. 13 clustering.
 type fig13Stats struct {
-	hist               [][]int
-	zeroFrac, oneFrac  float64
-	meanCV, columnSkew float64
+	// hist[relVulnBucket][cvBucket], 11×11 as in the paper.
+	hist [][]int
+	// zeroFrac is the share of vulnerable columns in the lowest CV
+	// bucket (design-dominated); oneFrac the share in the saturated
+	// top bucket (process-dominated).
+	zeroFrac, oneFrac float64
+	// meanCV is the average cross-chip CV over vulnerable columns — a
+	// small-sample-robust summary of the design-vs-process split.
+	meanCV float64
+	// columnSkew is the mean over chips of the CV of per-column flip
+	// counts within the chip: high when a few columns dominate each
+	// chip's flips (heavy column-factor variation, Mfr A/C style).
+	// The CV of *pooled* totals would measure the opposite: pooling
+	// chips averages away process-induced variation but keeps
+	// design-induced stripes.
+	columnSkew float64
 }
 
 // fig13FromAcc clusters one accumulator's columns by relative
@@ -346,26 +275,6 @@ func fig13FromAcc(acc *rh.ColumnAccumulator) fig13Stats {
 		meanCV:     stats.Mean(cvV),
 		columnSkew: stats.Mean(chipCVs),
 	}
-}
-
-// Fig13 clusters columns by relative vulnerability and cross-chip CV.
-func Fig13(cfg Config) (Fig13Result, error) {
-	cfg = cfg.normalize()
-	f12, err := Fig12(cfg)
-	if err != nil {
-		return Fig13Result{}, err
-	}
-	var res Fig13Result
-	for i, mfr := range f12.Mfrs {
-		s := fig13FromAcc(f12.Acc[i])
-		res.Mfrs = append(res.Mfrs, mfr)
-		res.Hist = append(res.Hist, s.hist)
-		res.ZeroCVFrac = append(res.ZeroCVFrac, s.zeroFrac)
-		res.OneCVFrac = append(res.OneCVFrac, s.oneFrac)
-		res.MeanCV = append(res.MeanCV, s.meanCV)
-		res.ColumnSkew = append(res.ColumnSkew, s.columnSkew)
-	}
-	return res, nil
 }
 
 // fig13Shard measures one manufacturer's Fig. 13 clustering.
@@ -496,15 +405,6 @@ func profileSubarrays(cfg Config, mfr string) ([][]rh.SubarrayStat, error) {
 	return out, nil
 }
 
-// Fig14Result holds the subarray min-vs-avg regression per
-// manufacturer.
-type Fig14Result struct {
-	Mfrs []string
-	// Subarrays[mfr] pools every module's subarray stats.
-	Subarrays [][]rh.SubarrayStat
-	Fits      []stats.LinearFit
-}
-
 // fig14Mfr pools one manufacturer's subarray stats and fits min vs
 // avg.
 func fig14Mfr(cfg Config, mfr string) ([]rh.SubarrayStat, stats.LinearFit, error) {
@@ -518,29 +418,6 @@ func fig14Mfr(cfg Config, mfr string) ([]rh.SubarrayStat, stats.LinearFit, error
 	}
 	fit, err := rh.FitSubarrayMinVsAvg(pooled)
 	return pooled, fit, err
-}
-
-// Fig14 regresses subarray minimum HCfirst on subarray average.
-func Fig14(cfg Config) (Fig14Result, error) {
-	cfg = cfg.normalize()
-	var res Fig14Result
-	type mfrOut struct {
-		pooled []rh.SubarrayStat
-		fit    stats.LinearFit
-	}
-	perMfr, err := mapMfrs(cfg, func(mfr string) (mfrOut, error) {
-		pooled, fit, err := fig14Mfr(cfg, mfr)
-		return mfrOut{pooled: pooled, fit: fit}, err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, o := range perMfr {
-		res.Subarrays = append(res.Subarrays, o.pooled)
-		res.Fits = append(res.Fits, o.fit)
-	}
-	return res, nil
 }
 
 // fig14Shard measures one manufacturer's Fig. 14 regression.
@@ -572,17 +449,6 @@ func renderFig14(out io.Writer, a *artifact.Artifact) error {
 	return w.Flush()
 }
 
-// Fig15Result compares subarray HCfirst distributions within and
-// across modules.
-type Fig15Result struct {
-	Mfrs []string
-	// SameModule/DiffModule[mfr] are the pairwise Bhattacharyya
-	// coefficients (1.0 = identical distributions).
-	SameModule, DiffModule [][]float64
-	// P5Same/P5Diff are the 5th percentiles of each population.
-	P5Same, P5Diff []float64
-}
-
 // fig15Mfr computes one manufacturer's pairwise subarray similarities.
 func fig15Mfr(cfg Config, mfr string) (same, diff []float64, err error) {
 	perModule, err := profileSubarrays(cfg, mfr)
@@ -610,28 +476,6 @@ func fig15P5(xs []float64) float64 {
 		return 0
 	}
 	return stats.Percentile(xs, 5)
-}
-
-// Fig15 computes similarity of subarray HCfirst distributions.
-func Fig15(cfg Config) (Fig15Result, error) {
-	cfg = cfg.normalize()
-	var res Fig15Result
-	type mfrOut struct{ same, diff []float64 }
-	perMfr, err := mapMfrs(cfg, func(mfr string) (mfrOut, error) {
-		same, diff, err := fig15Mfr(cfg, mfr)
-		return mfrOut{same: same, diff: diff}, err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Mfrs = mfrNames
-	for _, o := range perMfr {
-		res.SameModule = append(res.SameModule, o.same)
-		res.DiffModule = append(res.DiffModule, o.diff)
-		res.P5Same = append(res.P5Same, fig15P5(o.same))
-		res.P5Diff = append(res.P5Diff, fig15P5(o.diff))
-	}
-	return res, nil
 }
 
 // fig15Shard measures one manufacturer's similarity populations.

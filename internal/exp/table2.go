@@ -10,66 +10,34 @@ import (
 	"rowhammer/internal/artifact"
 )
 
-// Table2Result is the tested-module inventory (Tables 2 and 4).
-type Table2Result struct {
-	DDR4Chips, DDR3Chips     int
-	DDR4Modules, DDR3Modules int
-	Rows                     []Table2Row
-}
-
-// Table2Row is one inventory line.
-type Table2Row struct {
-	Mfr      string
-	Type     string
-	ChipID   string
-	ModuleID string
-	Freq     int
-	DateCode string
-	Density  string
-	DieRev   string
-	Org      string
-	Modules  int
-	Chips    int
-}
-
-// Table2 assembles the inventory from the manufacturer profiles.
-func Table2() Table2Result {
-	var res Table2Result
+// table2Shard builds the tested-module inventory artifact (Tables 2
+// and 4) from the manufacturer profiles (single shard: the inventory
+// is pure metadata, no measurement to decompose).
+func table2Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	a := artifact.New(shard)
+	var ddr4Chips, ddr4Modules, ddr3Chips, ddr3Modules int
+	i := 0
 	for _, p := range rh.Profiles() {
 		for _, m := range p.Modules {
-			res.Rows = append(res.Rows, Table2Row{
-				Mfr: p.Name, Type: m.Type, ChipID: m.ChipID, ModuleID: m.ModuleID,
-				Freq: m.FreqMTs, DateCode: m.DateCode, Density: m.Density,
-				DieRev: m.DieRev, Org: m.Org, Modules: m.NumModules, Chips: m.NumChips,
-			})
+			a.AddRow(fmt.Sprintf("row=%02d", i)).
+				Tag("mfr", p.Name).Tag("type", m.Type).Tag("chip", m.ChipID).
+				Tag("module", m.ModuleID).Tag("date", m.DateCode).Tag("density", m.Density).
+				Tag("die", m.DieRev).Tag("org", m.Org).
+				SetInt("freq_mts", int64(m.FreqMTs)).SetInt("modules", int64(m.NumModules)).SetInt("chips", int64(m.NumChips))
+			i++
 			switch m.Type {
 			case "DDR4":
-				res.DDR4Chips += m.NumChips
-				res.DDR4Modules += m.NumModules
+				ddr4Chips += m.NumChips
+				ddr4Modules += m.NumModules
 			case "DDR3":
-				res.DDR3Chips += m.NumChips
-				res.DDR3Modules += m.NumModules
+				ddr3Chips += m.NumChips
+				ddr3Modules += m.NumModules
 			}
 		}
 	}
-	return res
-}
-
-// table2Shard builds the inventory artifact (single shard: the
-// inventory is pure metadata, no measurement to decompose).
-func table2Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
-	res := Table2()
-	a := artifact.New(shard)
-	for i, r := range res.Rows {
-		a.AddRow(fmt.Sprintf("row=%02d", i)).
-			Tag("mfr", r.Mfr).Tag("type", r.Type).Tag("chip", r.ChipID).
-			Tag("module", r.ModuleID).Tag("date", r.DateCode).Tag("density", r.Density).
-			Tag("die", r.DieRev).Tag("org", r.Org).
-			SetInt("freq_mts", int64(r.Freq)).SetInt("modules", int64(r.Modules)).SetInt("chips", int64(r.Chips))
-	}
 	a.AddRow("totals").
-		SetInt("ddr4_chips", int64(res.DDR4Chips)).SetInt("ddr4_modules", int64(res.DDR4Modules)).
-		SetInt("ddr3_chips", int64(res.DDR3Chips)).SetInt("ddr3_modules", int64(res.DDR3Modules))
+		SetInt("ddr4_chips", int64(ddr4Chips)).SetInt("ddr4_modules", int64(ddr4Modules)).
+		SetInt("ddr3_chips", int64(ddr3Chips)).SetInt("ddr3_modules", int64(ddr3Modules))
 	return a, nil
 }
 

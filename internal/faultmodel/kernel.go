@@ -42,12 +42,12 @@ const tempMargin = 2.4
 // candidate is one vulnerable cell of a row with every hash-derived
 // parameter resolved at build time. 48 bytes.
 type candidate struct {
-	rel    float64 // mult × colFactor: threshold ≡ rowHC × rel (sort key)
-	h      uint64  // per-cell hash (feeds the salted trial noise)
-	loGate float64 // reject when tempC < loGate (−Inf: censored at 50 °C)
-	hiGate float64 // reject when tempC > hiGate (+Inf: censored at 90 °C)
-	gapT   float64 // skipped interior temperature point (NaN: no gap)
-	bit    int32
+	rel     float64 // mult × colFactor: threshold ≡ rowHC × rel (sort key)
+	h       uint64  // per-cell hash (feeds the salted trial noise)
+	loGate  float64 // reject when tempC < loGate (−Inf: censored at 50 °C)
+	hiGate  float64 // reject when tempC > hiGate (+Inf: censored at 90 °C)
+	gapT    float64 // skipped interior temperature point (NaN: no gap)
+	bit     int32
 	charged uint8 // 1 ⇒ true-cell
 }
 

@@ -67,7 +67,7 @@ type WorkerView struct {
 	// TTL — the scheduler only places onto live workers.
 	Alive bool `json:"alive"`
 	// Slots is the worker's declared parallel capacity.
-	Slots int `json:"slots"`
+	Slots int    `json:"slots"`
 	Seq   uint64 `json:"seq"`
 	// SinceAdvance is service-clock time since Seq last advanced.
 	SinceAdvance time.Duration `json:"since_advance_ms"`

@@ -83,10 +83,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, s.maxSpecBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -153,6 +153,8 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		"unknown kind":   `{"kind":"nosuch"}`,
 		"unknown scale":  `{"kind":"ber","scale":"huge"}`,
 		"inverted temps": `{"kind":"ber","scale":"tiny","temps":[90,50]}`,
+		// 4 × 10⁸ jobs: expanding this grid would exhaust memory.
+		"oversized grid": `{"kind":"hcfirst","scale":"tiny","modules_per_mfr":100000000}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -162,6 +164,9 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after bad submissions = %d", code)
 	}
 }
 

@@ -7,7 +7,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	rh "rowhammer"
@@ -52,6 +54,16 @@ type Spec struct {
 	// it is excluded from the campaign's identity, and the merged
 	// result is byte-identical to an unsharded run of the same spec.
 	Shards int `json:"shards,omitempty"`
+}
+
+// decodeSpec reads one wire spec, rejecting unknown fields so a
+// misspelled knob fails loudly instead of silently taking its default.
+func decodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // CampaignSpec lowers the wire spec to the library spec, resolving

@@ -74,6 +74,16 @@ func TestResolveValidation(t *testing.T) {
 	if !errors.As(err, &tse) {
 		t.Errorf("descending temps: want *TempStepError, got %v", err)
 	}
+	// Measurement kinds get the engine's own spec validation here
+	// too, as experiment kinds already do.
+	for name, spec := range map[string]rh.CampaignSpec{
+		"watchdog without job timeout": {Kind: "hcfirst", Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), WatchdogFactor: 2},
+		"grid above MaxJobs":           {Kind: "hcfirst", Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), ModulesPerMfr: 100_000_000},
+	} {
+		if _, err := Resolve(spec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 	// Experiment kinds resolve with their fleet identity.
 	rsv, err := Resolve(rh.CampaignSpec{Kind: "fig5", Scale: rh.TinyScale(), Geometry: rh.TinyGeometry(), Seed: 1})
 	if err != nil {
