@@ -62,12 +62,14 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -o bench-current.json
 	$(GO) run ./cmd/benchjson -compare bench-current.json -threshold $(BENCHTHRESHOLD) BENCH_*.json
 
-# One-iteration pass over the disturb hot-path benchmarks under the
-# race detector: catches data races in the sharded kernel cache and
-# keeps the benchmark bodies themselves compiling and running in CI
-# without benchmark-grade runtime.
+# One-iteration pass over the disturb hot-path benchmarks and the
+# fault model's cold row build under the race detector: catches data
+# races in the sharded kernel cache and keeps the benchmark bodies
+# themselves compiling and running in CI without benchmark-grade
+# runtime.
 bench-smoke:
 	$(GO) test -race -bench 'DisturbBatch|FlipApply' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # The repo benchmark (perfbench/, run by `bash perfbench/run.sh`) is a
 # separate Go module, so `go build ./...` and `go test ./...` at the

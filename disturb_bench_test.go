@@ -2,8 +2,9 @@
 // DisturbBatch call evaluating a row's candidate set across a whole
 // trial batch, and the bitplane flip application that turns the
 // emitted masks into stored data. Both must stay allocation-free in
-// steady state; the committed 0 allocs/op baselines make bench-check
-// a hard floor.
+// steady state: TestDisturbBatchSteadyStateZeroAlloc,
+// TestApplyFlipMaskZeroAlloc and TestHammerSteadyStateZeroAlloc are
+// the floor, on any host.
 package rowhammer_test
 
 import (
@@ -62,7 +63,18 @@ func benchLedger(hammers int64) *dram.RowLedger {
 	return led
 }
 
-func BenchmarkDisturbBatch(b *testing.B) {
+// disturbBatchFixture is one row of a 4 Ki-bit-row module under a
+// 512K-hammer double-sided ledger, with per-salt outputs for the
+// paper's min-of-5 trial batch.
+type disturbBatchFixture struct {
+	model *faultmodel.Model
+	ctx   dram.DisturbContext
+	salts []uint64
+	masks [][]uint64
+	flips []int
+}
+
+func newDisturbBatchFixture(tb testing.TB) *disturbBatchFixture {
 	geo := dram.Geometry{
 		Banks: 1, RowsPerBank: 512, SubarrayRows: 256,
 		Chips: 8, ChipWidth: 8, ColumnsPerRow: 64,
@@ -71,26 +83,60 @@ func BenchmarkDisturbBatch(b *testing.B) {
 		Profile: faultmodel.MfrA(), ModuleSeed: 61, Geometry: geo,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	salts := []uint64{1, 2, 3, 4, 5} // the paper's min-of-5 trial batch
-	masks := make([][]uint64, len(salts))
-	for i := range masks {
-		masks[i] = make([]uint64, geo.RowWords())
+	f := &disturbBatchFixture{model: m, salts: []uint64{1, 2, 3, 4, 5}}
+	f.masks = make([][]uint64, len(f.salts))
+	for i := range f.masks {
+		f.masks[i] = make([]uint64, geo.RowWords())
 	}
-	flips := make([]int, len(salts))
-	data := make([]uint64, geo.RowWords())
+	f.flips = make([]int, len(f.salts))
 	agg := make([]uint64, geo.RowWords())
 	for i := range agg {
 		agg[i] = ^uint64(0)
 	}
-	ctx := dram.DisturbContext{
+	f.ctx = dram.DisturbContext{
 		Bank: 0, Row: 100, Ledger: benchLedger(512_000),
-		Data: data, Geometry: geo, Up: agg, Down: agg,
+		Data: make([]uint64, geo.RowWords()), Geometry: geo, Up: agg, Down: agg,
 	}
+	return f
+}
+
+func (f *disturbBatchFixture) walk() {
+	f.model.DisturbBatch(f.ctx, f.salts, f.masks, f.flips)
+}
+
+// TestDisturbBatchSteadyStateZeroAlloc: once the row's candidate set
+// is cached, a trial-batched walk allocates nothing.
+func TestDisturbBatchSteadyStateZeroAlloc(t *testing.T) {
+	f := newDisturbBatchFixture(t)
+	f.walk()
+	if f.flips[0] == 0 {
+		t.Fatal("warmup produced no flips; test vacuous")
+	}
+	if allocs := testing.AllocsPerRun(10, f.walk); allocs != 0 {
+		t.Fatalf("steady-state DisturbBatch allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestApplyFlipMaskZeroAlloc: applying a flip bitplane allocates
+// nothing.
+func TestApplyFlipMaskZeroAlloc(t *testing.T) {
+	data := make([]uint64, 1024)
+	mask := make([]uint64, 1024)
+	for i := range mask {
+		mask[i] = 0x8000000000000001
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dram.ApplyFlipMask(data, mask) }); allocs != 0 {
+		t.Fatalf("ApplyFlipMask allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+func BenchmarkDisturbBatch(b *testing.B) {
+	f := newDisturbBatchFixture(b)
 	// Warm up so the timed loop measures the batched walk, not the
 	// one-time candidate-set build.
-	m.DisturbBatch(ctx, salts, masks, flips)
+	f.walk()
 	// One op is a block of walks: at the Makefile's small -benchtime a
 	// single ~50 µs walk would drown in scheduler jitter, and the
 	// committed baseline gates this number.
@@ -100,8 +146,8 @@ func BenchmarkDisturbBatch(b *testing.B) {
 	total := 0
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < walksPerOp; k++ {
-			m.DisturbBatch(ctx, salts, masks, flips)
-			total += flips[0]
+			f.walk()
+			total += f.flips[0]
 		}
 	}
 	if total == 0 {

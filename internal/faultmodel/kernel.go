@@ -2,9 +2,9 @@ package faultmodel
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/rng"
@@ -40,7 +40,7 @@ import (
 const tempMargin = 2.4
 
 // candidate is one vulnerable cell of a row with every hash-derived
-// parameter resolved at build time. 48 bytes.
+// parameter resolved at build time.
 type candidate struct {
 	rel     float64 // mult × colFactor: threshold ≡ rowHC × rel (sort key)
 	h       uint64  // per-cell hash (feeds the salted trial noise)
@@ -51,14 +51,13 @@ type candidate struct {
 	charged uint8 // 1 ⇒ true-cell
 }
 
-// candidateBytes is the approximate per-cell cache cost, for sizing
-// the LRU.
-const candidateBytes = 48
+// candidateBytes is the per-cell cache cost, for sizing the LRU.
+const candidateBytes = int(unsafe.Sizeof(candidate{}))
 
 // candCacheBudgetBytes bounds the total candidate-cache memory per
 // cache (shared across every model attached to it). 64 MiB holds
-// hundreds of rows at bench geometries and ~20 rows at the paper-scale
-// 64 Ki-bit geometry.
+// hundreds of rows at bench geometries and ~170 rows at the paper-scale
+// 8 Ki-bit geometry (~384 KiB of candidates per row).
 const candCacheBudgetBytes = 64 << 20
 
 // candShardCount is the power-of-two number of candLRU shards. Each
@@ -70,14 +69,28 @@ const candShardCount = 8
 // buildCandidates generates the sorted candidate set of one row. The
 // per-cell draws mirror disturbReference exactly, using the
 // fixed-arity hash fast paths (bit-identical to the variadic Hash64).
+//
+// The build runs in two passes over per-model scratch. The first draws
+// every cell's rel and records it as a (Float64bits(rel), bit) pair;
+// rel ≥ minCellMult·minColFactor > 0, so the IEEE-754 bits order like
+// the floats, and the pairs arrive in bit order, so the stable radix
+// sort (sortKeyed) yields exactly the (rel, bit) order. The second
+// pass walks the sorted pairs, resolves each cell's temperature draws
+// and writes the one exactly-sized slice the cache keeps.
 func (m *Model) buildCandidates(bank, row int) []candidate {
 	rowBits := m.geo.RowBits()
 	cw := m.geo.ChipWidth
 	chips := m.geo.Chips
-	cells := make([]candidate, 0, rowBits)
+	if cap(m.buildKeys) < rowBits {
+		m.buildKeys = make([]keyedIndex, rowBits)
+		m.buildBuf = make([]keyedIndex, rowBits)
+	}
+	keys := m.buildKeys[:0]
 	// The (seed, bank, row) fold is shared by every bit of the row;
 	// Hash64Suffix completes it per bit, bit-identically to Hash64x4.
 	prefix := rng.HashPrefix(m.seed, uint64(bank), uint64(row))
+	scale := float64(rowBits)
+	invAlpha := 1 / m.p.TailAlpha
 	for bit := 0; bit < rowBits; bit++ {
 		h := rng.Hash64Suffix(prefix, uint64(bit))
 
@@ -85,7 +98,7 @@ func (m *Model) buildCandidates(bank, row int) []candidate {
 		if u > m.p.VulnFrac {
 			continue
 		}
-		mult := math.Pow(float64(rowBits)*u, 1/m.p.TailAlpha)
+		mult := math.Pow(scale*u, invAlpha)
 		if mult < minCellMult {
 			mult = minCellMult
 		}
@@ -95,7 +108,13 @@ func (m *Model) buildCandidates(bank, row int) []candidate {
 		chip := rest % chips
 		col := rest / chips
 		rel := mult * m.colFactor[chip][col*cw+line]
+		keys = append(keys, keyedIndex{key: math.Float64bits(rel), idx: uint32(bit)})
+	}
+	sortKeyed(keys, m.buildBuf)
 
+	cells := make([]candidate, len(keys))
+	for i, e := range keys {
+		h := rng.Hash64Suffix(prefix, uint64(e.idx))
 		// Resolve the temperature range and gap draws once; censored
 		// bounds become infinite gates and "no gap" becomes NaN, so
 		// the walk needs only three float compares.
@@ -119,29 +138,16 @@ func (m *Model) buildCandidates(bank, row int) []candidate {
 				gapT = lo + float64(5*(pick+1))
 			}
 		}
-
-		cells = append(cells, candidate{
-			rel:     rel,
+		cells[i] = candidate{
+			rel:     math.Float64frombits(e.key),
 			h:       h,
 			loGate:  loGate,
 			hiGate:  hiGate,
 			gapT:    gapT,
-			bit:     int32(bit),
+			bit:     int32(e.idx),
 			charged: uint8(h & 1),
-		})
-	}
-	// The (rel, bit) key is unique per cell, so any sorting algorithm
-	// yields the same array; SortFunc avoids sort.Slice's reflection-
-	// based swapper on this hot build path.
-	slices.SortFunc(cells, func(a, b candidate) int {
-		if a.rel != b.rel {
-			if a.rel < b.rel {
-				return -1
-			}
-			return 1
 		}
-		return int(a.bit - b.bit)
-	})
+	}
 	return cells
 }
 

@@ -1,8 +1,12 @@
 package faultmodel
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/rng"
@@ -214,8 +218,9 @@ func TestKernelLRUBoundsMemory(t *testing.T) {
 }
 
 // TestCandidateSetSortedAndComplete sanity-checks the builder output:
-// sorted ascending by rel, one entry per vulnerable bit, and rel
-// consistent with Cell() ground truth.
+// strictly ascending by (rel, bit), exactly one entry per bit whose
+// Cell() threshold is finite, and rel consistent with Cell() ground
+// truth.
 func TestCandidateSetSortedAndComplete(t *testing.T) {
 	for _, p := range Profiles() {
 		m := newTestModel(t, p, 31)
@@ -223,21 +228,167 @@ func TestCandidateSetSortedAndComplete(t *testing.T) {
 		if len(cells) == 0 {
 			t.Fatalf("mfr %s: empty candidate set", p.Name)
 		}
-		seen := map[int32]bool{}
 		rowHC := m.RowBaseHC(0, 9)
 		for i, c := range cells {
-			if i > 0 && cells[i-1].rel > c.rel {
-				t.Fatalf("mfr %s: candidates not sorted at %d", p.Name, i)
+			if i > 0 && cmpCandidate(cells[i-1], c) >= 0 {
+				t.Fatalf("mfr %s: candidates not strictly (rel, bit) ordered at %d", p.Name, i)
 			}
-			if seen[c.bit] {
-				t.Fatalf("mfr %s: duplicate bit %d", p.Name, c.bit)
-			}
-			seen[c.bit] = true
 			ci := m.Cell(0, 9, int(c.bit))
 			if got, want := rowHC*c.rel, ci.ThresholdHC; got != want {
 				t.Fatalf("mfr %s bit %d: kernel threshold %v, Cell() %v", p.Name, c.bit, got, want)
 			}
 		}
+		// Strict order rules out duplicates, so equal counts make the
+		// candidate bits exactly the finite-threshold bits.
+		finite := 0
+		for bit := 0; bit < m.geo.RowBits(); bit++ {
+			if !math.IsInf(m.Cell(0, 9, bit).ThresholdHC, 1) {
+				finite++
+			}
+		}
+		if len(cells) != finite {
+			t.Fatalf("mfr %s: %d candidates, %d bits with a finite threshold", p.Name, len(cells), finite)
+		}
+	}
+}
+
+// cmpCandidate is the comparator order the candidate set must have:
+// ascending rel, ties by bit.
+func cmpCandidate(a, b candidate) int {
+	if c := cmp.Compare(a.rel, b.rel); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.bit, b.bit)
+}
+
+// Row geometries the build is checked and benchmarked at: TinyGeometry
+// (2 Ki-bit rows) and PaperGeometry (8 Ki-bit rows).
+var (
+	tinyRowGeometry  = dram.Geometry{Banks: 1, RowsPerBank: 512, SubarrayRows: 128, Chips: 8, ChipWidth: 8, ColumnsPerRow: 32}
+	paperRowGeometry = dram.Geometry{Banks: 4, RowsPerBank: 65536, SubarrayRows: 512, Chips: 8, ChipWidth: 8, ColumnsPerRow: 128}
+)
+
+// TestCandidateOrderMatchesComparatorSort is the radix build's order
+// oracle: for every profile, several module seeds and both row widths,
+// the built set must equal, element for element, its own cells sorted
+// by the (rel, bit) comparator — a total order, so the comparator sort
+// is unique whatever order it starts from.
+func TestCandidateOrderMatchesComparatorSort(t *testing.T) {
+	for _, geo := range []dram.Geometry{tinyRowGeometry, paperRowGeometry} {
+		for _, p := range Profiles() {
+			for _, seed := range []uint64{1, 3, 0x5eed} {
+				m, err := NewModel(Config{Profile: p, ModuleSeed: seed, Geometry: geo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range []int{0, 7, 301} {
+					got := m.buildCandidates(0, row)
+					want := slices.Clone(got)
+					slices.SortFunc(want, cmpCandidate)
+					for i := range want {
+						if !sameCandidate(got[i], want[i]) {
+							t.Fatalf("%d-bit rows, mfr %s seed %d row %d: element %d is bit %d, comparator sort has bit %d",
+								geo.RowBits(), p.Name, seed, row, i, got[i].bit, want[i].bit)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameCandidate compares every field; the NaN gap sentinel compares
+// by bits.
+func sameCandidate(a, b candidate) bool {
+	return a.rel == b.rel && a.h == b.h && a.loGate == b.loGate && a.hiGate == b.hiGate &&
+		math.Float64bits(a.gapT) == math.Float64bits(b.gapT) && a.bit == b.bit && a.charged == b.charged
+}
+
+// TestSortKeyed checks the radix sort against a stable comparator sort
+// on synthetic key sets, including the degenerate and adversarial ones
+// real rows never produce.
+func TestSortKeyed(t *testing.T) {
+	keys := func(n int, f func(i int) uint64) []uint64 {
+		ks := make([]uint64, n)
+		for i := range ks {
+			ks[i] = f(i)
+		}
+		return ks
+	}
+	r := func(i int) uint64 { return rng.Hash64x2(0x50c7, uint64(i)) }
+	const base = 0x3ff0_0000_0000_0000 // float64 1.0
+	cases := []struct {
+		name string
+		keys []uint64
+	}{
+		{"empty", nil},
+		{"one", []uint64{base}},
+		{"all equal", keys(5000, func(int) uint64 { return base })},
+		{"low byte only", keys(5000, func(i int) uint64 { return base | r(i)&0xff })},
+		{"equal top bytes", keys(5000, func(i int) uint64 { return base | r(i)&(1<<40-1) })},
+		{"full range", keys(5000, r)},
+		{"few distinct", keys(5000, func(i int) uint64 { return base + r(i)%7<<30 })},
+		{"short descending", keys(insertionMax, func(i int) uint64 { return base - uint64(i) })},
+		// One outlier stretches the range so every other key lands in
+		// the lowest counting bucket: that bucket must not fall to the
+		// insertion sort.
+		{"thousands in one bucket", keys(5000, func(i int) uint64 {
+			if i == 0 {
+				return math.MaxUint64
+			}
+			return base + uint64(5000-i)<<8 | r(i)&0xff
+		})},
+	}
+	for _, tc := range cases {
+		in := make([]keyedIndex, len(tc.keys))
+		for i, k := range tc.keys {
+			in[i] = keyedIndex{key: k, idx: uint32(i)}
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b keyedIndex) int { return cmp.Compare(a.key, b.key) })
+		sortKeyed(in, make([]keyedIndex, len(in)))
+		if !slices.Equal(in, want) {
+			t.Errorf("%s: radix order differs from the stable comparator sort", tc.name)
+		}
+	}
+}
+
+// TestSortKeyedNoQuadraticBucket sorts a quarter-million keys that all
+// share one counting bucket, in descending order: an insertion sort of
+// that bucket would make ~3e10 moves (tens of seconds), the LSD
+// fallback makes a few million.
+func TestSortKeyedNoQuadraticBucket(t *testing.T) {
+	const n = 1 << 18
+	in := make([]keyedIndex, n)
+	in[0] = keyedIndex{key: math.MaxUint64}
+	for i := 1; i < n; i++ {
+		in[i] = keyedIndex{key: uint64(n - i), idx: uint32(i)}
+	}
+	start := time.Now()
+	sortKeyed(in, make([]keyedIndex, n))
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("one-bucket sort of %d keys took %v", n, el)
+	}
+	for i := 1; i < n; i++ {
+		if in[i-1].key > in[i].key {
+			t.Fatalf("unsorted at %d", i)
+		}
+	}
+}
+
+// TestBuildCandidatesAllocs pins the cold build's allocation floor:
+// once one build has sized the per-model scratch, building a new row
+// allocates exactly the slice the cache keeps.
+func TestBuildCandidatesAllocs(t *testing.T) {
+	m := newTestModel(t, MfrB(), 5)
+	m.buildCandidates(0, 0)
+	row := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		row++
+		m.buildCandidates(0, row)
+	})
+	if allocs != 1 {
+		t.Fatalf("cold row build allocates %.1f objects, want 1", allocs)
 	}
 }
 
@@ -260,6 +411,24 @@ func TestLedgerTempCZeroCelsius(t *testing.T) {
 	led.Dist[1].Count = 0
 	if got := ledgerTempC(led); got != refTempC {
 		t.Fatalf("ledgerTempC = %v, want reference %v for empty ledger", got, refTempC)
+	}
+}
+
+// BenchmarkBuildCandidates times one cold row build — the per-cell
+// draws, the radix sort and the gather — at 2 Ki-bit and 8 Ki-bit rows.
+func BenchmarkBuildCandidates(b *testing.B) {
+	for _, geo := range []dram.Geometry{tinyRowGeometry, paperRowGeometry} {
+		b.Run(fmt.Sprintf("%dbit", geo.RowBits()), func(b *testing.B) {
+			m, err := NewModel(Config{Profile: MfrA(), ModuleSeed: 61, Geometry: geo})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.buildCandidates(0, i%geo.RowsPerBank)
+			}
+		})
 	}
 }
 

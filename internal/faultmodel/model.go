@@ -121,6 +121,13 @@ type Model struct {
 	maskArena []uint64
 	walkMasks [][]uint64
 	walkFlips []int
+
+	// Cold-build scratch, reused across buildCandidates calls: a row's
+	// radix-sort keys and the sort's staging buffer (kernel.go). Never
+	// published: only the slice a build returns goes to the cache,
+	// which clones may share.
+	buildKeys []keyedIndex
+	buildBuf  []keyedIndex
 }
 
 type rowParams struct {
@@ -320,7 +327,7 @@ func ledgerTempC(led *dram.RowLedger) float64 {
 // the profile's cluster distribution. lo==50 / hi==90 are censored
 // bounds: the true range extends beyond the tested window.
 func (m *Model) cellTempRange(h uint64) (lo, hi float64) {
-	u := rng.Uniform01(rng.Hash64(h, keyCellRange))
+	u := rng.Uniform01(rng.Hash64x2(h, keyCellRange))
 	for i, cum := range m.tempCum {
 		if u <= cum {
 			c := m.p.TempClusters[i]
