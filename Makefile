@@ -1,10 +1,6 @@
 GO ?= go
-BENCHTIME ?= 20x
-BENCHOUT ?= BENCH_pr8.json
-BENCHTHRESHOLD ?= 0.10
-BENCHSET ?= HammerThroughput|CampaignFleet|DisturbBatch|FlipApply
 
-.PHONY: all build test race vet bench paper-bench bench-json bench-check bench-smoke perfbench-check golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
+.PHONY: all build test race vet paper-bench bench-ab bench-smoke perfbench-check golden chaos chaos-exp crash chaos-net chaos-fleet fuzz serve-smoke check
 
 all: check
 
@@ -30,45 +26,25 @@ race:
 vet:
 	$(GO) vet ./...
 
-bench:
-	$(GO) test -bench CampaignFleet -run '^$$' -benchtime 3x .
-
 # The paper benchmarks: one per table and figure of the evaluation,
 # each computing the experiment's merged artifact and reporting its
 # headline metrics (EXPERIMENTS.md records them against the paper).
 paper-bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exp/
 
-# Benchmark-regression harness: run the tracked benchmarks (the two
-# end-to-end ones plus the batched disturb hot-path pair) and record
-# them as JSON. The committed $(BENCHOUT) keeps the pre-change numbers
-# under "baselines" — benchjson preserves that key when regenerating.
-# CI runs this with BENCHTIME=1x as a smoke test and uploads the
-# artifact.
-bench-json:
-	$(GO) test -bench '$(BENCHSET)' -run '^$$' -benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+# The benchmark gate: perfbench A/B against a base git ref on this host
+# (cmd/benchab says when it fails). Flags go through ARGS, e.g.
+#   make bench-ab ARGS='-base HEAD -pairs 3 -seconds 5'
+bench-ab:
+	$(GO) run ./cmd/benchab $(ARGS)
 
-# Benchmark trend gate: rerun the tracked benchmarks, record them to
-# bench-current.json (untracked), and compare every metric against the
-# best value anywhere in the committed BENCH_*.json files. The check
-# is direction-aware — ns/op/B/op/allocs/op regress upward, rate units
-# (jobs/sec, activations/s) downward — and any metric more than
-# $(BENCHTHRESHOLD) (fraction) worse than the best baseline fails.
-# The committed numbers are machine-specific; after a hardware change,
-# refresh them deliberately with `make bench-json`.
-bench-check:
-	$(GO) test -bench '$(BENCHSET)' -run '^$$' -benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -o bench-current.json
-	$(GO) run ./cmd/benchjson -compare bench-current.json -threshold $(BENCHTHRESHOLD) BENCH_*.json
-
-# One-iteration pass over the disturb hot-path benchmarks and the
-# fault model's cold row build under the race detector: catches data
-# races in the sharded kernel cache and keeps the benchmark bodies
-# themselves compiling and running in CI without benchmark-grade
-# runtime.
+# One-iteration pass under the race detector over the disturb
+# hot-path, hammer-loop and fleet-campaign benchmarks and the fault
+# model's cold row build: catches data races in the sharded
+# kernel cache and keeps the benchmark bodies themselves compiling and
+# running in CI without benchmark-grade runtime.
 bench-smoke:
-	$(GO) test -race -bench 'DisturbBatch|FlipApply' -run '^$$' -benchtime 1x .
+	$(GO) test -race -bench 'DisturbBatch|FlipApply|HammerThroughput|CampaignFleet' -run '^$$' -benchtime 1x .
 	$(GO) test -race -bench 'BuildCandidates' -run '^$$' -benchtime 1x ./internal/faultmodel/
 
 # The repo benchmark (perfbench/, run by `bash perfbench/run.sh`) is a
@@ -141,8 +117,9 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./cmd/rhserved/
 
 # Short fuzz pass over the checkpoint readers, the OpenCheckpoint
-# resume path, the CRC trailer codec, the shard fence-file parser and
-# campaign spec resolution; the committed corpora under each package's
+# resume path, the CRC trailer codec, the shard fence-file parser,
+# campaign spec resolution, the store index reader and the lease and
+# registry HTTP handlers; the committed corpora under each package's
 # testdata/fuzz replay on every plain `go test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/campaign/
@@ -150,5 +127,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRecordCRCTrailer -fuzztime 30s ./internal/campaign/
 	$(GO) test -fuzz FuzzReadFence -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzResolveSpec -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz FuzzLeaseHandler -fuzztime 30s ./internal/leasesvc/
 
 check: build vet test race

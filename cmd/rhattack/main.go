@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +57,7 @@ func main() {
 
 	candidates := []int{60, 160, 260, 360, 460, 560, 660, 760}
 	fmt.Printf("[1] profiling %d candidate rows at 50 °C, %.0f °C and 90 °C…\n", len(candidates), *temp)
-	planner, err := attack.BuildPlanner(tester, 0, candidates, []float64{50, *temp, 90})
+	planner, err := attack.BuildPlanner(context.Background(), tester, 0, candidates, []float64{50, *temp, 90})
 	if err != nil {
 		fatal(err)
 	}

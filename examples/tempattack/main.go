@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 
 	// Improvement 1: temperature-resolved victim planning.
 	candidates := []int{50, 150, 250, 350, 450, 550, 650, 750}
-	planner, err := attack.BuildPlanner(tester, 0, candidates, []float64{50, 70, 90})
+	planner, err := attack.BuildPlanner(context.Background(), tester, 0, candidates, []float64{50, 70, 90})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	rh "rowhammer"
@@ -47,7 +48,7 @@ func TestPlannerInformedBeatsUninformed(t *testing.T) {
 	b := smallBench(t, "A", 31)
 	tst := rh.NewTester(b)
 	rows := []int{20, 40, 60, 80, 100, 120, 140, 160}
-	planner, err := BuildPlanner(tst, 0, rows, []float64{50, 70, 90})
+	planner, err := BuildPlanner(context.Background(), tst, 0, rows, []float64{50, 70, 90})
 	if err != nil {
 		t.Fatal(err)
 	}

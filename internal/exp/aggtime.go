@@ -43,6 +43,9 @@ func fig6Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifac
 	}
 	a := artifact.New(shard)
 	for _, tc := range tests {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
 		bld := softmc.NewBuilder(tm.TCK)
 		// Settle any pending tRP/tRC from the previous sequence.
 		bld.Wait(tm.TRC)

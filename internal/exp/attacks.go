@@ -22,7 +22,7 @@ func attack1Mfr(cfg Config, mfr string) (best, median int64, err error) {
 	}
 	t := rh.NewTester(bs[0])
 	rows := sampleRows(cfg, 12)
-	planner, err := attack.BuildPlanner(t, 0, rows, []float64{50, 70, 90})
+	planner, err := attack.BuildPlanner(cfg.Ctx, t, 0, rows, []float64{50, 70, 90})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -199,6 +199,9 @@ func attack3Mfr(cfg Config, mfr string) (attack3Out, error) {
 	var baseSum, extSum, baseBER, extBER float64
 	n := 0
 	for _, row := range rows {
+		if err := cfg.Ctx.Err(); err != nil {
+			return out, err
+		}
 		base, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: row, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
 		if err != nil {
 			return out, err

@@ -85,6 +85,9 @@ func defCompareShard(ctx context.Context, cfg Config, shard string) (*artifact.A
 	a.AddRow("probe").Tag("mfr", mfr).
 		SetInt("threshold", threshold).SetInt("max_hammers", cfg.Scale.MaxHammers)
 	for i, mc := range mechs {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
 		b, err := mkBench()
 		if err != nil {
 			return nil, err

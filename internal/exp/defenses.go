@@ -294,24 +294,24 @@ func defense5Shard(ctx context.Context, cfg Config, shard string) (*artifact.Art
 	rows := sampleRows(cfg, 4)
 	victim := rows[len(rows)/2]
 
-	base, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
-	if err != nil {
-		return nil, err
-	}
-	ext, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, AggOnNs: 154.5, MaxHammers: cfg.Scale.MaxHammers})
-	if err != nil {
-		return nil, err
-	}
-	// The limiter caps every open interval at tRAS: the attacker's
-	// requested 154.5 ns opens become tRAS opens (plus extra
-	// activations of the *aggressor*, which only hammer faster — the
-	// limiter therefore also throttles total bank time; HCfirst
-	// returns to the baseline).
+	// HCfirst at the default open time, under the attacker's 154.5 ns
+	// opens, and with the limiter. The limiter caps every open interval
+	// at tRAS: the attacker's requested 154.5 ns opens become tRAS opens
+	// (plus extra activations of the *aggressor*, which only hammer
+	// faster — the limiter therefore also throttles total bank time;
+	// HCfirst returns to the baseline).
 	limiter := defense.NewOpenTimeLimiter(tm.TRAS)
 	limiter.Clamp(rh.Picos(154.5 * 1000))
-	lim, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, MaxHammers: cfg.Scale.MaxHammers})
-	if err != nil {
-		return nil, err
+	var hc [3]int64 // baseline, extended, limited
+	for i, onNs := range []float64{0, 154.5, 0} {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := t.HCFirst(rh.HCFirstConfig{Bank: 0, VictimPhys: victim, Pattern: rh.PatCheckered, Trial: 1, AggOnNs: onNs, MaxHammers: cfg.Scale.MaxHammers})
+		if err != nil {
+			return nil, err
+		}
+		hc[i] = r.HCfirst
 	}
 
 	// Scheduler-level benign cost: average request latency of a
@@ -336,8 +336,8 @@ func defense5Shard(ctx context.Context, cfg Config, shard string) (*artifact.Art
 	}
 	a := artifact.New(shard)
 	a.AddRow("limiter").Tag("mfr", mfr).
-		SetInt("baseline_hc", base.HCfirst).SetInt("extended_hc", ext.HCfirst).
-		SetInt("limited_hc", lim.HCfirst).SetInt("extra_acts", limiter.ExtraActs).
+		SetInt("baseline_hc", hc[0]).SetInt("extended_hc", hc[1]).
+		SetInt("limited_hc", hc[2]).SetInt("extra_acts", limiter.ExtraActs).
 		Set("open_latency_ns", open.AvgLatencyNs()).Set("capped_latency_ns", capped.AvgLatencyNs()).
 		Set("benign_slowdown", slowdown).Set("max_row_open_ns", capped.MaxRowOpen.Nanoseconds())
 	return a, nil

@@ -482,9 +482,8 @@ func TestDefense6ColumnAwareECC(t *testing.T) {
 func TestComputeHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range []string{"atk2", "def3", "ddr3", "fig5", "fig7"} {
-		t.Run(id, func(t *testing.T) {
-			e := ByID(id)
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
 			frag, err := e.Compute(ctx, tinyConfig(), e.Shards[0])
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Compute under a cancelled context = (%v, %v), want context.Canceled", frag != nil, err)

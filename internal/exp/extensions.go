@@ -108,6 +108,9 @@ func trrAttack(cfg Config, aggressors []int, victim int, rounds int64) (int, int
 		logical[i] = t.LogicalRow(a)
 	}
 	for issued := int64(0); issued < rounds; issued += chunk {
+		if err := cfg.Ctx.Err(); err != nil {
+			return 0, 0, err
+		}
 		n := chunk
 		if issued+n > rounds {
 			n = rounds - issued
@@ -215,7 +218,11 @@ func interferenceShard(ctx context.Context, cfg Config, shard string) (*artifact
 	trrActivity := b.Module.Stats().TRRRefreshes
 
 	// 3: ECC masking on an otherwise identical module.
-	mkFlips := func(ecc bool) (int, error) {
+	var flips [2]int // raw, visible through on-die ECC
+	for i, ecc := range []bool{false, true} {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
 		be, err := rh.NewBench(rh.BenchConfig{
 			Profile:  rh.ProfileByName("A"),
 			Seed:     moduleSeed(cfg, "A", 11),
@@ -223,33 +230,24 @@ func interferenceShard(ctx context.Context, cfg Config, shard string) (*artifact
 			OnDieECC: ecc,
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		te := rh.NewTester(be)
-		hr, err := te.Hammer(rh.HammerConfig{
+		hr, err := rh.NewTester(be).Hammer(rh.HammerConfig{
 			Bank: 0, VictimPhys: victim, Hammers: cfg.Scale.Hammers,
 			Pattern: rh.PatCheckered, Trial: 1,
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return hr.Victim.Count(), nil
-	}
-	raw, err := mkFlips(false)
-	if err != nil {
-		return nil, err
-	}
-	visible, err := mkFlips(true)
-	if err != nil {
-		return nil, err
+		flips[i] = hr.Victim.Count()
 	}
 	a := artifact.New(shard)
 	a.AddRow("checklist").
 		SetInt("duration_ps", int64(duration)).
 		SetInt("retention_flips", retentionFlips).
 		SetInt("trr_activity", trrActivity).
-		SetInt("ecc_raw", int64(raw)).
-		SetInt("ecc_visible", int64(visible))
+		SetInt("ecc_raw", int64(flips[0])).
+		SetInt("ecc_visible", int64(flips[1]))
 	return a, nil
 }
 

@@ -14,6 +14,9 @@ import (
 // and 4) from the manufacturer profiles (single shard: the inventory
 // is pure metadata, no measurement to decompose).
 func table2Shard(ctx context.Context, cfg Config, shard string) (*artifact.Artifact, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	a := artifact.New(shard)
 	var ddr4Chips, ddr4Modules, ddr3Chips, ddr3Modules int
 	i := 0

@@ -342,7 +342,7 @@ func fig5Mfr(cfg Config, mfr string) (fig5Changes, error) {
 		if err != nil {
 			return c, err
 		}
-		hc, err := t.HCFirstAtTemps(0, rows, temps, rh.HCFirstConfig{
+		hc, err := t.HCFirstAtTemps(cfg.Ctx, 0, rows, temps, rh.HCFirstConfig{
 			Pattern:    pat,
 			MaxHammers: cfg.Scale.MaxHammers,
 		}, cfg.Scale.Repetitions)

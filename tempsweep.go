@@ -276,9 +276,9 @@ func (m *TempClusterMatrix) NoGapFraction() float64 {
 }
 
 // HCFirstAtTemps measures every row's HCfirst at each temperature
-// (the Fig. 5 measurement). Result indexing: [tempIdx][rowIdx]; an
-// unfound HCfirst is reported as 0.
-func (t *Tester) HCFirstAtTemps(bank int, rows []int, temps []float64, cfg HCFirstConfig, reps int) ([][]int64, error) {
+// (the Fig. 5 measurement), checking ctx before each row. Result
+// indexing: [tempIdx][rowIdx]; an unfound HCfirst is reported as 0.
+func (t *Tester) HCFirstAtTemps(ctx context.Context, bank int, rows []int, temps []float64, cfg HCFirstConfig, reps int) ([][]int64, error) {
 	out := make([][]int64, len(temps))
 	for ti, temp := range temps {
 		if err := t.b.SetTemperature(temp); err != nil {
@@ -286,6 +286,9 @@ func (t *Tester) HCFirstAtTemps(bank int, rows []int, temps []float64, cfg HCFir
 		}
 		out[ti] = make([]int64, len(rows))
 		for ri, row := range rows {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			c := cfg
 			c.Bank = bank
 			c.VictimPhys = row
